@@ -1,34 +1,38 @@
 //! Simulator wall-clock benchmark — how fast the simulator itself runs,
 //! not what it simulates.
 //!
-//! Runs the three reference soaks (Figure 4 migration, live pre-copy,
-//! fleet soak under the proactive policy) plus the fleet soak again in
-//! *legacy-faithful* mode (scheduler-thread rendezvous on every event,
-//! full FlowNet retiming on every rate change — the pre-optimization
-//! event loop, reachable at runtime via [`SimHandle::set_direct_handoff`]
-//! and [`SimHandle::set_full_retime_default`]). For each it records wall
-//! seconds, dispatched events, and events/sec from the kernel
-//! self-profile, then writes `BENCH_wallclock.json`.
+//! Runs the three reference scenarios (Figure 4 migration, live pre-copy,
+//! fleet soak under the proactive policy). For each it records wall
+//! seconds, dispatched events and events/sec from the kernel self-profile,
+//! and the OS thread and context-switch counts around it, then writes
+//! `BENCH_wallclock.json` with a machine block.
 //!
-//! Gates, in order of strictness:
+//! Gates:
 //!
-//! 1. **Speedup floor** — the optimized fleet soak must beat the
-//!    legacy-faithful run by >= 2x wall clock. Both runs happen in this
-//!    process on this machine, so the ratio is hardware-independent.
-//! 2. **Ratio regression** — the speedup must stay within 10% of the
-//!    committed `wallclock_baseline.json` (refresh the baseline by
-//!    copying a fresh `BENCH_wallclock.json` over it when an intentional
-//!    change moves the numbers).
-//! 3. **Absolute regression** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
-//!    per-scenario events/sec must stay within 10% of the baseline.
-//!    Only meaningful when the baseline was recorded on the same class
-//!    of machine, so CI leaves it off and the ratio gate carries the
-//!    regression signal.
+//! 1. **Exact event counts** — every scenario dispatches exactly the
+//!    events the committed `wallclock_baseline.json` records (64,470 /
+//!    74,634 / 2,000,108). Counts are hardware-independent: any change
+//!    means the event stream itself changed.
+//! 2. **No OS threads** — simulated processes are coroutines on the
+//!    driving thread. The process's `Threads:` count (`/proc/self/status`)
+//!    must not grow: it is sampled before each scenario, when the
+//!    scenario's simulation is created, and after the scenario. The main
+//!    thread's voluntary context switches must stay under one per 1,000
+//!    events; a kernel that hands events between OS threads blocks the
+//!    driving thread at least once per handoff.
+//! 3. **Telemetry zero-cost** — an `instant_with` call site with tracing
+//!    disabled (the default) must cost < 1% of a mean event dispatch: the
+//!    disabled path is one relaxed atomic load and the argument closure is
+//!    never evaluated.
+//! 4. **Absolute regression** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
+//!    per-scenario events/sec must stay within 10% of the baseline. Only
+//!    meaningful on the machine recorded in the baseline's `machine`
+//!    block, so CI leaves it off.
 //!
-//! The binary also asserts the telemetry zero-cost claim: an
-//! `instant_with` call site with tracing disabled (the default) must
-//! cost < 1% of a mean event dispatch — the disabled path is one relaxed
-//! atomic load and the argument closure is never evaluated.
+//! The baseline also records the fleet soak's speedup over the
+//! thread-per-process kernel this one replaced, measured once on the
+//! baseline's machine. The bench prints it; it cannot re-measure it, since
+//! the old kernel is gone.
 
 use fleetsched::{FleetConfig, PolicyKind};
 use jobmig_bench::{fig_migration_observed, fig_migration_tuned_observed, write_bench_json, SEED};
@@ -42,7 +46,10 @@ struct Scenario {
     name: &'static str,
     wall_secs: f64,
     events: u64,
-    direct_handoffs: u64,
+    /// `Threads:` before, at simulation creation, and after.
+    threads: [u64; 3],
+    /// Voluntary context switches of the main thread over the scenario.
+    vol_switches: u64,
 }
 
 impl Scenario {
@@ -55,33 +62,56 @@ impl Scenario {
             .set("wall_secs", self.wall_secs)
             .set("events", self.events)
             .set("events_per_sec", self.events_per_sec())
-            .set("direct_handoffs", self.direct_handoffs)
+            .set("threads_before", self.threads[0])
+            .set("threads_in_sim", self.threads[1])
+            .set("threads_after", self.threads[2])
+            .set("voluntary_ctxt_switches", self.vol_switches)
     }
 }
 
-/// Time `run`, which must stash the simulation handle it observes so the
-/// kernel self-profile can be read back after the run.
-fn measure(name: &'static str, run: impl FnOnce(&mut Option<SimHandle>)) -> Scenario {
-    let mut handle = None;
+/// What a scenario's observe hook captures when its simulation is created.
+#[derive(Default)]
+struct Observed {
+    handle: Option<SimHandle>,
+    threads: u64,
+}
+
+impl Observed {
+    fn observe(&mut self, h: &SimHandle) {
+        self.handle = Some(h.clone());
+        self.threads = proc_status("Threads:");
+    }
+}
+
+/// Time `run`, which must call [`Observed::observe`] from its observe
+/// hook so the kernel self-profile can be read back after the run.
+fn measure(name: &'static str, run: impl FnOnce(&mut Observed)) -> Scenario {
+    let mut seen = Observed::default();
+    let threads_before = proc_status("Threads:");
+    let switches_before = proc_status("voluntary_ctxt_switches:");
     let t0 = Instant::now();
-    run(&mut handle);
+    run(&mut seen);
     let wall_secs = t0.elapsed().as_secs_f64();
-    let stats = handle
+    let vol_switches = proc_status("voluntary_ctxt_switches:") - switches_before;
+    let stats = seen
+        .handle
         .expect("observe hook must stash the handle")
         .hot_stats();
     let s = Scenario {
         name,
         wall_secs,
         events: stats.events_dispatched,
-        direct_handoffs: stats.direct_handoffs,
+        threads: [threads_before, seen.threads, proc_status("Threads:")],
+        vol_switches,
     };
     println!(
-        "{:<14} {:>8.2}s {:>10} events {:>9.0} ev/s {:>10} handoffs",
+        "{:<10} {:>8.2}s {:>10} events {:>9.0} ev/s  threads {:?}  vol. switches {}",
         s.name,
         s.wall_secs,
         s.events,
         s.events_per_sec(),
-        s.direct_handoffs
+        s.threads,
+        s.vol_switches
     );
     s
 }
@@ -97,17 +127,42 @@ fn min_wall(mut run: impl FnMut() -> Scenario) -> Scenario {
     }
 }
 
-/// Peak resident set size of this process in kB (`VmHWM` from
-/// `/proc/self/status`); 0 where procfs is unavailable.
-fn peak_rss_kb() -> u64 {
+/// The number after `key` in `/proc/self/status` (`VmHWM:` in kB,
+/// `Threads:`, `voluntary_ctxt_switches:`); 0 where procfs is unavailable.
+fn proc_status(key: &str) -> u64 {
     std::fs::read_to_string("/proc/self/status")
         .ok()
         .and_then(|s| {
             s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
+                .find(|l| l.starts_with(key))
                 .and_then(|l| l.split_whitespace().nth(1).and_then(|v| v.parse().ok()))
         })
         .unwrap_or(0)
+}
+
+/// Where this run happened: core count, compiler and CPU model.
+fn machine() -> Json {
+    let rustc = std::process::Command::new(std::env::var("RUSTC").unwrap_or("rustc".into()))
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".into());
+    let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let cpu = cpuinfo
+        .lines()
+        .find(|l| l.starts_with("model name"))
+        .and_then(|l| l.split_once(':'))
+        .map_or("unknown", |(_, m)| m.trim());
+    let nproc = cpuinfo
+        .lines()
+        .filter(|l| l.starts_with("processor"))
+        .count();
+    Json::obj()
+        .set("nproc", nproc as u64)
+        .set("rustc", rustc)
+        .set("cpu_model", cpu)
 }
 
 /// Pull the number following `"key":` from `doc`, searching from the
@@ -156,59 +211,33 @@ fn disabled_trace_ns_per_call() -> f64 {
 }
 
 fn main() {
-    println!("Simulator wall-clock bench (fig4 / livemig / fleet soak, optimized vs legacy)");
+    println!("Simulator wall-clock bench (fig4 / livemig / fleet soak)");
 
-    let fig4 = measure("fig4", |stash| {
+    let fig4 = measure("fig4", |seen| {
         fig_migration_observed(NpbApp::Lu, 64, 8, PoolConfig::default(), |h| {
-            *stash = Some(h.clone());
+            seen.observe(h)
         });
     });
 
-    let livemig = measure("livemig", |stash| {
+    let livemig = measure("livemig", |seen| {
         fig_migration_tuned_observed(NpbApp::Lu, 64, 8, MigrationTuning::live(), |h| {
-            *stash = Some(h.clone());
+            seen.observe(h)
         });
     });
 
     let cfg = FleetConfig::soak(SEED);
     let plan = cfg.doom_plan();
 
-    // Each fleet mode runs twice and keeps the faster wall clock: on a
-    // loaded machine noise only ever adds time, so min-of-N is the
-    // closest observable to the true cost and keeps the speedup gate
-    // from flapping.
+    // The soak runs twice and keeps the faster wall clock: on a loaded
+    // machine noise only ever adds time, so min-of-N is the closest
+    // observable to the true cost.
     let fleet = min_wall(|| {
-        measure("fleet", |stash| {
+        measure("fleet", |seen| {
             fleetsched::run_policy_observed(&cfg, PolicyKind::Proactive, &plan, |h| {
-                *stash = Some(h.clone());
+                seen.observe(h)
             });
         })
     });
-
-    // The same soak with the pre-optimization event loop: every event
-    // takes a scheduler-thread round trip and every rate change retimes
-    // the whole flow network. Dispatch order is identical (the golden
-    // digest tests prove it), only the wall clock differs.
-    let fleet_legacy = min_wall(|| {
-        measure("fleet-legacy", |stash| {
-            fleetsched::run_policy_observed(&cfg, PolicyKind::Proactive, &plan, |h| {
-                h.set_direct_handoff(false);
-                h.set_full_retime_default(true);
-                *stash = Some(h.clone());
-            });
-        })
-    });
-    assert_eq!(
-        fleet.events, fleet_legacy.events,
-        "legacy and optimized modes must dispatch the same event stream"
-    );
-    assert_eq!(
-        fleet_legacy.direct_handoffs, 0,
-        "legacy mode must not handoff"
-    );
-
-    let speedup = fleet_legacy.wall_secs / fleet.wall_secs.max(1e-9);
-    println!("fleet soak speedup (legacy/optimized): {speedup:.2}x");
 
     let per_event_ns = fleet.wall_secs * 1e9 / fleet.events.max(1) as f64;
     let disabled_ns = disabled_trace_ns_per_call();
@@ -218,13 +247,12 @@ fn main() {
          ({overhead_pct:.3}% of an event dispatch)"
     );
 
-    let scenarios = [&fig4, &livemig, &fleet, &fleet_legacy];
-    let mut doc = Json::obj();
+    let scenarios = [&fig4, &livemig, &fleet];
+    let mut doc = Json::obj().set("machine", machine());
     for s in scenarios {
         doc = doc.set(s.name, s.to_json());
     }
     let doc = doc
-        .set("fleet_speedup", speedup)
         .set(
             "telemetry",
             Json::obj()
@@ -232,50 +260,61 @@ fn main() {
                 .set("per_event_ns", per_event_ns)
                 .set("overhead_pct", overhead_pct),
         )
-        .set("peak_rss_kb", peak_rss_kb());
+        .set("peak_rss_kb", proc_status("VmHWM:"));
     let path = write_bench_json("wallclock", &doc, true).expect("always written");
     println!("wrote {}", path.display());
 
-    // Gate 1: the optimized event loop must carry its weight.
-    assert!(
-        speedup >= 2.0,
-        "optimized fleet soak must be >= 2x faster than legacy-faithful, got {speedup:.2}x"
-    );
+    // Gate 2: no OS thread is created or handed an event.
+    for s in scenarios {
+        assert!(
+            s.threads[1] <= s.threads[0] && s.threads[2] <= s.threads[0],
+            "{}: OS thread count grew: before/in-sim/after {:?}",
+            s.name,
+            s.threads
+        );
+        assert!(
+            s.vol_switches * 1000 < s.events,
+            "{}: {} voluntary context switches over {} events",
+            s.name,
+            s.vol_switches,
+            s.events
+        );
+    }
 
-    // Telemetry zero-cost gate: a disabled call site is one relaxed
-    // atomic load — far under 1% of a mean event dispatch.
+    // Gate 3: telemetry zero-cost — a disabled call site is one relaxed
+    // atomic load, far under 1% of a mean event dispatch.
     assert!(
         overhead_pct < 1.0,
         "disabled tracing must cost < 1% of an event dispatch, got {overhead_pct:.3}%"
     );
 
-    // Gates 2 and 3: regression against the committed baseline.
-    match load_baseline() {
-        None => println!("no wallclock_baseline.json committed; skipping regression gates"),
-        Some(base) => {
-            let base_speedup =
-                num_after(&base, "", "fleet_speedup").expect("baseline must record fleet_speedup");
+    // Gates 1 and 4: against the committed baseline.
+    let base = load_baseline().expect("crates/bench/wallclock_baseline.json must be committed");
+    for s in scenarios {
+        let want = num_after(&base, &format!("\"{}\"", s.name), "events")
+            .expect("baseline must record per-scenario events");
+        assert_eq!(
+            s.events, want as u64,
+            "{}: event count moved from the committed baseline",
+            s.name
+        );
+    }
+    println!("event-count gate ok: fig4 / livemig / fleet match the baseline exactly");
+    if let Some(x) = num_after(&base, "", "fleet_speedup_vs_thread_kernel") {
+        println!("recorded fleet speedup over the thread-per-process kernel: {x:.2}x");
+    }
+    if std::env::var_os("BENCH_WALLCLOCK_ENFORCE_ABS").is_some() {
+        for s in scenarios {
+            let b = num_after(&base, &format!("\"{}\"", s.name), "events_per_sec")
+                .expect("baseline must record per-scenario events_per_sec");
+            let got = s.events_per_sec();
             assert!(
-                speedup >= base_speedup * 0.9,
-                "fleet speedup regressed > 10%: {speedup:.2}x vs baseline {base_speedup:.2}x"
+                got >= b * 0.9,
+                "{}: events/sec regressed > 10%: {got:.0} vs baseline {b:.0}",
+                s.name
             );
-            println!(
-                "ratio gate ok: {speedup:.2}x vs baseline {base_speedup:.2}x (-10% tolerance)"
-            );
-            if std::env::var_os("BENCH_WALLCLOCK_ENFORCE_ABS").is_some() {
-                for s in [&fig4, &livemig, &fleet] {
-                    let b = num_after(&base, &format!("\"{}\"", s.name), "events_per_sec")
-                        .expect("baseline must record per-scenario events_per_sec");
-                    let got = s.events_per_sec();
-                    assert!(
-                        got >= b * 0.9,
-                        "{}: events/sec regressed > 10%: {got:.0} vs baseline {b:.0}",
-                        s.name
-                    );
-                }
-                println!("absolute events/sec gate ok (-10% tolerance)");
-            }
         }
+        println!("absolute events/sec gate ok (-10% tolerance)");
     }
     println!("wallclock gates passed");
 }

@@ -1,7 +1,6 @@
 //! Dump the fleet-soak digest scenario's full trace stream, one line per
-//! event, for diffing incremental-retime runs against the full-retime
-//! oracle (`SIMKIT_FULL_RETIME=1`). Debug aid for the determinism oracle;
-//! not part of any benchmark.
+//! event, for diffing two builds whose golden digests disagree. Debug aid
+//! for the determinism oracle; not part of any benchmark.
 
 fn main() {
     let cfg = fleetsched::FleetConfig::soak(jobmig_bench::SEED);

@@ -8,10 +8,11 @@
 //! single event time, reorders a same-nanosecond tie-break, or changes an
 //! emitted string flips the hash.
 //!
-//! To re-record after an *intended* behavior change, run with
-//! `SIMKIT_FULL_RETIME=1` (the oracle mode, which must itself still match
-//! unless virtual-time semantics changed) and copy the values printed by
-//! the failing assertions.
+//! FlowNet now always retimes every flow on every recompute — the oracle
+//! behaviour these goldens were recorded from — so there is no second
+//! mode to cross-check. To re-record after an *intended* behavior change,
+//! copy the values printed by the failing assertions, and say in the
+//! change which modelled behaviour moved.
 
 use jobmig_core::bufpool::PoolConfig;
 use jobmig_core::prelude::*;

@@ -11,7 +11,6 @@
 //! [`FlowNet`] complements [`crate::Link`]: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
 
-use crate::hotstats::Hot;
 use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::link::Sharing;
 use crate::process::Ctx;
@@ -39,10 +38,6 @@ struct NetFlow {
     remaining: f64,
     bytes: u64,
     rate: f64,
-    /// Virtual instant of the completion wake last pushed for the owner.
-    /// A retime whose recomputed rate *and* wake both equal the stored
-    /// values is a no-op and is skipped (incremental mode).
-    wake: SimTime,
 }
 
 struct NetInner {
@@ -59,10 +54,6 @@ struct NetInner {
     flows: BTreeMap<u64, NetFlow>,
     next_flow: u64,
     last_update: SimTime,
-    /// Force the pre-incremental behavior: reschedule every flow on every
-    /// recompute. Kept as the oracle the incremental path is tested
-    /// against (`SIMKIT_FULL_RETIME=1` or [`FlowNet::set_full_retime`]).
-    full_retime: bool,
 }
 
 impl NetInner {
@@ -88,30 +79,13 @@ impl NetInner {
     }
 
     /// Recompute every flow's rate from the cached link shares and retime
-    /// the owners' completion wakes. In incremental mode a flow whose rate
-    /// and recomputed wake instant are both unchanged keeps its pending
-    /// timer; in full (oracle) mode every flow is rescheduled, as the
-    /// pre-incremental kernel did.
-    ///
-    /// `running` names the caller's own flow, whose canonical wake has just
-    /// fired and been consumed — it MUST be rescheduled even when the
-    /// recomputed wake is unchanged, or its owner would block with no
-    /// pending timer.
-    ///
-    /// The skip is byte-identical to the retime-everything oracle only
-    /// under three kernel-verified conditions: the owner's canonical
-    /// timer still sits at the stored wake (a kill may have replaced
-    /// it), and the wake's exact nanosecond is *uncontended* — ties at
-    /// equal virtual time are broken by timer insertion sequence, so a
-    /// stale timer may only be kept where no tie is possible. Contended
-    /// flows are refreshed on every recompute, in flow-id order, exactly
-    /// reproducing the sequence numbers the oracle assigns.
-    fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime, running: Option<u64>) {
-        Hot::bump(&kernel.hot.flow_recomputes);
+    /// every owner's completion wake, in flow-id order (so same-nanosecond
+    /// completions keep a stable tie-break).
+    fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime) {
         let shares = &self.shares;
-        let full_retime = self.full_retime;
         kernel.with_wake_batch(|batch| {
-            for (&id, f) in self.flows.iter_mut() {
+            batch.counts().flow_recomputes += 1;
+            for f in self.flows.values_mut() {
                 let rate = f
                     .links
                     .iter()
@@ -119,22 +93,12 @@ impl NetInner {
                     .fold(f64::INFINITY, f64::min);
                 debug_assert!(rate.is_finite() && rate > 0.0);
                 let secs = (f.remaining / rate).min(1e18); // clamp: "effectively never"
-                let wake = now.saturating_add(Duration::from_secs_f64(secs));
-                let pid = ProcId(f.pid);
-                if !full_retime
-                    && running != Some(id)
-                    && rate.to_bits() == f.rate.to_bits()
-                    && wake == f.wake
-                    && batch.pending_matches(pid, wake)
-                    && batch.pending_count_at(wake) <= 1
-                {
-                    Hot::bump(&kernel.hot.flow_retime_skips);
-                    continue;
-                }
                 f.rate = rate;
-                f.wake = wake;
-                batch.schedule_wake(pid, wake);
-                Hot::bump(&kernel.hot.flow_retimes);
+                batch.schedule_wake(
+                    ProcId(f.pid),
+                    now.saturating_add(Duration::from_secs_f64(secs)),
+                );
+                batch.counts().flow_retimes += 1;
             }
         });
     }
@@ -161,12 +125,6 @@ pub struct FlowNet {
 impl FlowNet {
     /// Create an empty flow network.
     pub fn new(handle: &SimHandle) -> Self {
-        // Kernel-wide default (the `SIMKIT_FULL_RETIME=1` environment
-        // variable at Simulation::new, or set_full_retime_default).
-        let full_retime = handle
-            .kernel
-            .full_retime_default
-            .load(std::sync::atomic::Ordering::Relaxed);
         FlowNet {
             kernel: Arc::clone(&handle.kernel),
             inner: Arc::new(Mutex::new(NetInner {
@@ -175,16 +133,8 @@ impl FlowNet {
                 flows: BTreeMap::new(),
                 next_flow: 0,
                 last_update: handle.now(),
-                full_retime,
             })),
         }
-    }
-
-    /// Force full (oracle) retiming: reschedule every flow on every
-    /// recompute instead of skipping bit-identical no-ops. Used by the
-    /// incremental≡full equivalence tests.
-    pub fn set_full_retime(&self, on: bool) {
-        self.inner.lock().full_retime = on;
     }
 
     /// Add a link with `capacity_bps` bytes/second.
@@ -229,10 +179,9 @@ impl FlowNet {
                     remaining: bytes as f64,
                     bytes,
                     rate: 0.0,
-                    wake: SimTime::ZERO,
                 },
             );
-            inner.recompute_and_retime(&self.kernel, now, Some(id));
+            inner.recompute_and_retime(&self.kernel, now);
             id
         };
         let mut guard = NetFlowGuard {
@@ -253,11 +202,11 @@ impl FlowNet {
                 .expect("flow vanished while owner blocked");
             if done {
                 Self::finish_flow(&mut inner, flow_id, true);
-                inner.recompute_and_retime(&self.kernel, now, None);
+                inner.recompute_and_retime(&self.kernel, now);
                 guard.armed = false;
                 return;
             }
-            inner.recompute_and_retime(&self.kernel, now, Some(flow_id));
+            inner.recompute_and_retime(&self.kernel, now);
         }
     }
 
@@ -307,6 +256,6 @@ impl Drop for NetFlowGuard<'_> {
         let now = self.net.kernel.now();
         inner.advance_to(now);
         FlowNet::finish_flow(&mut inner, self.flow_id, false);
-        inner.recompute_and_retime(&self.net.kernel, now, None);
+        inner.recompute_and_retime(&self.net.kernel, now);
     }
 }

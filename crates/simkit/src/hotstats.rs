@@ -5,11 +5,12 @@
 //! the kernel — so the kernel profiles itself. Two tiers:
 //!
 //! * **Counters** (events dispatched, timer-heap pushes, stale timers
-//!   skipped, process/thread spawns, FlowNet retime traffic) are always
-//!   maintained: one relaxed atomic increment each, noise next to the
-//!   ~µs cost of a baton handoff.
+//!   skipped, process spawns, FlowNet retime traffic) are always
+//!   maintained: plain integers in the scheduler state, bumped under the
+//!   lock the counted operation already holds.
 //! * **Wall-clock timing** (ns per kernel category, per-process dispatch
-//!   counts) reads the host monotonic clock twice per event and is off
+//!   counts and run time, run time per proc-name prefix) reads the host
+//!   monotonic clock twice per event and is off
 //!   unless the `SIMKIT_PROF=1` environment variable is set when the
 //!   [`Simulation`](crate::Simulation) is created (or
 //!   [`SimHandle::set_prof`](crate::SimHandle::set_prof) is called).
@@ -22,42 +23,38 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Live counters owned by the kernel. Interior-mutable so every bump is
-/// a relaxed atomic op under no lock.
+/// Event counters, kept in the scheduler state.
+#[derive(Default)]
+pub(crate) struct Counts {
+    /// Dispatches: timers popped as valid and run on their process.
+    pub(crate) dispatches: u64,
+    /// Heap entries popped and discarded as stale (superseded wakes).
+    pub(crate) stale_skips: u64,
+    /// Timer-heap pushes (canonical wake replacements included).
+    pub(crate) timer_pushes: u64,
+    /// Peak timer-heap length observed at push time.
+    pub(crate) heap_peak: u64,
+    /// Simulated processes spawned.
+    pub(crate) spawns: u64,
+    /// FlowNet rate recomputations (flow add/remove/wake).
+    pub(crate) flow_recomputes: u64,
+    /// Per-flow completion-wake reschedules issued to the kernel.
+    pub(crate) flow_retimes: u64,
+}
+
+/// Wall-clock profile owned by the kernel. Interior-mutable; off unless
+/// armed.
 pub(crate) struct Hot {
     /// Wall-clock timing armed (`SIMKIT_PROF=1` or `set_prof(true)`).
     prof: AtomicBool,
-    /// Baton handoffs: timers popped as valid and handed to a process.
-    pub(crate) dispatches: AtomicU64,
-    /// Dispatches performed proc→proc (direct handoff), without waking
-    /// the scheduler thread. Subset of `dispatches`.
-    pub(crate) direct_handoffs: AtomicU64,
-    /// Heap entries popped and discarded as stale (superseded wakes).
-    pub(crate) stale_skips: AtomicU64,
-    /// Timer-heap pushes (canonical wake replacements included).
-    pub(crate) timer_pushes: AtomicU64,
-    /// Peak timer-heap length observed at push time.
-    pub(crate) heap_peak: AtomicU64,
-    /// Simulated processes spawned.
-    pub(crate) spawns: AtomicU64,
-    /// OS threads actually created for them (spawns minus worker reuse).
-    pub(crate) threads_created: AtomicU64,
-    /// FlowNet rate recomputations (flow add/remove/wake).
-    pub(crate) flow_recomputes: AtomicU64,
-    /// Per-flow completion-wake reschedules issued to the kernel.
-    pub(crate) flow_retimes: AtomicU64,
-    /// Per-flow reschedules skipped because rate and wake were unchanged.
-    pub(crate) flow_retime_skips: AtomicU64,
     /// ns the scheduler spent selecting timers (heap pop loop). Prof only.
     sched_ns: AtomicU64,
-    /// ns between baton send and process yield (user code + handoff).
-    /// Prof only.
+    /// ns processes ran, from resume to yield. Prof only.
     run_ns: AtomicU64,
-    /// ns spent in `spawn_inner` (slot setup + thread create/reuse).
-    /// Prof only.
+    /// ns spent in `spawn_inner` (slot setup). Prof only.
     spawn_ns: AtomicU64,
-    /// Dispatches per process. Prof only.
-    per_proc: Mutex<BTreeMap<u32, u64>>,
+    /// (dispatches, run ns) per process. Prof only.
+    per_proc: Mutex<BTreeMap<u32, (u64, u64)>>,
 }
 
 impl Hot {
@@ -67,31 +64,11 @@ impl Hot {
             .unwrap_or(false);
         Hot {
             prof: AtomicBool::new(prof),
-            dispatches: AtomicU64::new(0),
-            direct_handoffs: AtomicU64::new(0),
-            stale_skips: AtomicU64::new(0),
-            timer_pushes: AtomicU64::new(0),
-            heap_peak: AtomicU64::new(0),
-            spawns: AtomicU64::new(0),
-            threads_created: AtomicU64::new(0),
-            flow_recomputes: AtomicU64::new(0),
-            flow_retimes: AtomicU64::new(0),
-            flow_retime_skips: AtomicU64::new(0),
             sched_ns: AtomicU64::new(0),
             run_ns: AtomicU64::new(0),
             spawn_ns: AtomicU64::new(0),
             per_proc: Mutex::new(BTreeMap::new()),
         }
-    }
-
-    #[inline]
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
-    pub(crate) fn raise_peak(&self, len: u64) {
-        self.heap_peak.fetch_max(len, Ordering::Relaxed);
     }
 
     pub(crate) fn set_prof(&self, on: bool) {
@@ -115,49 +92,78 @@ impl Hot {
             let ns = t0.elapsed().as_nanos() as u64;
             let counter = match cat {
                 HotCat::Sched => &self.sched_ns,
-                HotCat::Run => &self.run_ns,
                 HotCat::Spawn => &self.spawn_ns,
             };
             counter.fetch_add(ns, Ordering::Relaxed);
         }
     }
 
-    /// Count one dispatch against `pid` (prof only — map update).
+    /// Close the run measurement of one dispatch of `pid` (opened with
+    /// [`Hot::clock`] at resume) into the run total and the process's
+    /// dispatch count and run time.
     #[inline]
-    pub(crate) fn count_proc(&self, pid: u32) {
-        if self.prof.load(Ordering::Relaxed) {
-            *self.per_proc.lock().entry(pid).or_insert(0) += 1;
+    pub(crate) fn lap_run(&self, pid: u32, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.run_ns.fetch_add(ns, Ordering::Relaxed);
+            let mut per_proc = self.per_proc.lock();
+            let e = per_proc.entry(pid).or_insert((0, 0));
+            e.0 += 1;
+            e.1 += ns;
         }
     }
 
-    pub(crate) fn snapshot(&self) -> HotStats {
-        let mut per_proc: Vec<(u32, u64)> =
-            self.per_proc.lock().iter().map(|(&p, &n)| (p, n)).collect();
+    /// Snapshot `counts` and the profile. `name` resolves a pid to its
+    /// process name, for grouping run time by name prefix.
+    pub(crate) fn snapshot<'a>(
+        &self,
+        counts: &Counts,
+        name: impl Fn(u32) -> Option<&'a str>,
+    ) -> HotStats {
+        let table = self.per_proc.lock();
+        let mut per_proc: Vec<(u32, u64)> = table.iter().map(|(&p, &(n, _))| (p, n)).collect();
         per_proc.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        let mut by_prefix: BTreeMap<&str, u64> = BTreeMap::new();
+        for (&pid, &(_, ns)) in table.iter() {
+            *by_prefix
+                .entry(name_prefix(name(pid).unwrap_or("?")))
+                .or_insert(0) += ns;
+        }
+        let mut run_ns_by_prefix: Vec<(String, u64)> = by_prefix
+            .into_iter()
+            .map(|(p, ns)| (p.to_string(), ns))
+            .collect();
+        run_ns_by_prefix.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         HotStats {
-            events_dispatched: self.dispatches.load(Ordering::Relaxed),
-            direct_handoffs: self.direct_handoffs.load(Ordering::Relaxed),
-            stale_timers_skipped: self.stale_skips.load(Ordering::Relaxed),
-            timer_pushes: self.timer_pushes.load(Ordering::Relaxed),
-            heap_peak: self.heap_peak.load(Ordering::Relaxed),
-            procs_spawned: self.spawns.load(Ordering::Relaxed),
-            threads_created: self.threads_created.load(Ordering::Relaxed),
-            flow_recomputes: self.flow_recomputes.load(Ordering::Relaxed),
-            flow_retimes: self.flow_retimes.load(Ordering::Relaxed),
-            flow_retime_skips: self.flow_retime_skips.load(Ordering::Relaxed),
+            events_dispatched: counts.dispatches,
+            stale_timers_skipped: counts.stale_skips,
+            timer_pushes: counts.timer_pushes,
+            heap_peak: counts.heap_peak,
+            procs_spawned: counts.spawns,
+            flow_recomputes: counts.flow_recomputes,
+            flow_retimes: counts.flow_retimes,
             sched_ns: self.sched_ns.load(Ordering::Relaxed),
             run_ns: self.run_ns.load(Ordering::Relaxed),
             spawn_ns: self.spawn_ns.load(Ordering::Relaxed),
             per_proc,
+            run_ns_by_prefix,
         }
     }
+}
+
+/// The leading run of letters and `-` in a process name: the subsystem
+/// key (`ftb-agent@node3` → `ftb-agent`, `app-r12` → `app-r`).
+pub(crate) fn name_prefix(name: &str) -> &str {
+    let end = name
+        .find(|c: char| !(c.is_alphabetic() || c == '-'))
+        .unwrap_or(name.len());
+    &name[..end]
 }
 
 /// Wall-clock categories closed by [`Hot::lap`].
 #[derive(Clone, Copy)]
 pub(crate) enum HotCat {
     Sched,
-    Run,
     Spawn,
 }
 
@@ -165,13 +171,10 @@ pub(crate) enum HotCat {
 /// [`Simulation::hot_stats`](crate::Simulation::hot_stats)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HotStats {
-    /// Baton handoffs: timers popped as valid and handed to a process.
+    /// Dispatches: timers popped as valid and run on their process.
     /// This is the kernel's fundamental unit of work — "events/sec" in
     /// the wall-clock benches is this counter over elapsed host time.
     pub events_dispatched: u64,
-    /// Dispatches done proc→proc without a scheduler-thread round trip
-    /// (one context switch instead of two). Subset of `events_dispatched`.
-    pub direct_handoffs: u64,
     /// Heap entries popped and discarded as stale (superseded wakes).
     pub stale_timers_skipped: u64,
     /// Timer-heap pushes.
@@ -180,44 +183,40 @@ pub struct HotStats {
     pub heap_peak: u64,
     /// Simulated processes spawned.
     pub procs_spawned: u64,
-    /// OS threads created for them (less than `procs_spawned` when the
-    /// kernel's worker pool reuses parked threads).
-    pub threads_created: u64,
     /// FlowNet rate recomputations.
     pub flow_recomputes: u64,
     /// Per-flow completion-wake reschedules issued.
     pub flow_retimes: u64,
-    /// Per-flow reschedules skipped as no-ops (rate and wake unchanged).
-    pub flow_retime_skips: u64,
     /// Wall ns the scheduler spent selecting timers (prof only).
     pub sched_ns: u64,
-    /// Wall ns between baton send and process yield (prof only).
+    /// Wall ns processes ran, from resume to yield (prof only).
     pub run_ns: u64,
     /// Wall ns spent spawning processes (prof only).
     pub spawn_ns: u64,
     /// Dispatch counts per process id, busiest first (prof only).
     pub per_proc: Vec<(u32, u64)>,
+    /// Run ns per process-name prefix (the leading run of letters and
+    /// `-`, e.g. `ftb-agent`), busiest first (prof only).
+    pub run_ns_by_prefix: Vec<(String, u64)>,
 }
 
 impl HotStats {
     /// Difference against an earlier snapshot (for profiling one phase of
-    /// a longer run). `per_proc` is left empty.
+    /// a longer run). `per_proc` and `run_ns_by_prefix` are left empty.
     pub fn since(&self, earlier: &HotStats) -> HotStats {
         HotStats {
             events_dispatched: self.events_dispatched - earlier.events_dispatched,
-            direct_handoffs: self.direct_handoffs - earlier.direct_handoffs,
             stale_timers_skipped: self.stale_timers_skipped - earlier.stale_timers_skipped,
             timer_pushes: self.timer_pushes - earlier.timer_pushes,
             heap_peak: self.heap_peak,
             procs_spawned: self.procs_spawned - earlier.procs_spawned,
-            threads_created: self.threads_created - earlier.threads_created,
             flow_recomputes: self.flow_recomputes - earlier.flow_recomputes,
             flow_retimes: self.flow_retimes - earlier.flow_retimes,
-            flow_retime_skips: self.flow_retime_skips - earlier.flow_retime_skips,
             sched_ns: self.sched_ns - earlier.sched_ns,
             run_ns: self.run_ns - earlier.run_ns,
             spawn_ns: self.spawn_ns - earlier.spawn_ns,
             per_proc: Vec::new(),
+            run_ns_by_prefix: Vec::new(),
         }
     }
 
@@ -229,35 +228,35 @@ impl HotStats {
         let ms = |ns: u64| ns as f64 / 1e6;
         out.push_str(&format!(
             "events dispatched   {:>12}\n\
-             direct handoffs     {:>12}\n\
              timer pushes        {:>12}\n\
              stale timers        {:>12}\n\
              heap peak           {:>12}\n\
              procs spawned       {:>12}\n\
-             threads created     {:>12}\n\
              flow recomputes     {:>12}\n\
-             flow retimes        {:>12}\n\
-             flow retime skips   {:>12}\n",
+             flow retimes        {:>12}\n",
             self.events_dispatched,
-            self.direct_handoffs,
             self.timer_pushes,
             self.stale_timers_skipped,
             self.heap_peak,
             self.procs_spawned,
-            self.threads_created,
             self.flow_recomputes,
             self.flow_retimes,
-            self.flow_retime_skips,
         ));
         if self.sched_ns + self.run_ns + self.spawn_ns > 0 {
             out.push_str(&format!(
                 "sched wall          {:>12.1} ms\n\
-                 run+handoff wall    {:>12.1} ms\n\
+                 proc run wall       {:>12.1} ms\n\
                  spawn wall          {:>12.1} ms\n",
                 ms(self.sched_ns),
                 ms(self.run_ns),
                 ms(self.spawn_ns),
             ));
+        }
+        if !self.run_ns_by_prefix.is_empty() {
+            out.push_str("proc run wall by name prefix:\n");
+            for (prefix, ns) in &self.run_ns_by_prefix {
+                out.push_str(&format!("  {prefix:<16} {:>12.1} ms\n", ms(*ns)));
+            }
         }
         if !self.per_proc.is_empty() {
             out.push_str("busiest processes:\n");

@@ -1,4 +1,4 @@
-//! The event-heap scheduler and the cooperative-thread machinery.
+//! The event-heap scheduler and the coroutine drive loop.
 //!
 //! # Scheduling model
 //!
@@ -11,24 +11,18 @@
 //! simulation deterministic: ties at equal virtual time are broken by
 //! insertion sequence.
 //!
-//! # Thread handoff
+//! # Coroutine dispatch
 //!
-//! Each simulated process is an OS thread parked on a private baton (an
-//! unpark token). At most one simulated process executes at any wall-clock
-//! instant. By default a yielding process dispatches the next timer
-//! **directly** — it pops the heap itself and unparks the next owner, one
-//! context switch per event instead of the two a scheduler round trip
-//! costs. The scheduler thread is woken only at chain breaks: a process
-//! finished (bookkeeping, join wakes, thread reaping), the heap drained,
-//! the drive limit was reached, or the `run_until_set` stop flag fired.
-//! Dispatch order is identical either way — both paths pop the same
-//! shared heap under the same lock — so traces are byte-identical; set
-//! `SIMKIT_NO_HANDOFF=1` (or [`SimHandle::set_direct_handoff`]) to force
-//! every event through the scheduler thread (the legacy path, kept as
-//! the wall-clock benches' "before" mode).
+//! Each simulated process is a stackful coroutine (see `coro.rs`) owned by
+//! the [`Simulation`]. The thread that calls `Simulation::run*` pops the
+//! next valid timer and switches straight onto the owner's stack; the
+//! process switches back when it blocks or finishes. Exactly one stack
+//! runs at a time and no OS thread is ever created, so a dispatch costs a
+//! heap pop plus two user-space stack switches.
 
+use crate::coro::{Coro, StackPool};
 use crate::error::{Killed, SimError};
-use crate::hotstats::{Hot, HotCat, HotStats};
+use crate::hotstats::{Counts, Hot, HotCat, HotStats};
 use crate::process::{Ctx, ProcHandle, Span};
 use crate::time::SimTime;
 use crate::trace::{Args, Tracer};
@@ -36,12 +30,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, OnceLock};
-use std::thread;
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Identifier of a simulated process.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -71,130 +62,47 @@ impl PartialOrd for Timer {
     }
 }
 
-/// How a process finished, reported through the yield channel.
-pub(crate) enum Fin {
+/// How a process finished.
+enum Fin {
     Ok,
     Killed,
     Panic(String),
 }
 
-pub(crate) struct YieldMsg {
-    pub pid: u32,
-    pub finished: Option<Fin>,
-}
-
-/// Rendezvous cell for one process thread: an unpark token plus the
-/// thread handle to poke. A handoff is one `Release` store and one
-/// `unpark` — a single futex wake when the target is parked — replacing
-/// the heavier per-process rendezvous channel.
-pub(crate) struct Baton {
-    token: AtomicBool,
-    thread: OnceLock<thread::Thread>,
-}
-
-impl Baton {
-    fn new() -> Baton {
-        Baton {
-            token: AtomicBool::new(false),
-            thread: OnceLock::new(),
-        }
-    }
-
-    /// Hand the baton over. Safe even if the target has not parked yet:
-    /// the token makes the wake stick (its first `take` consumes it).
-    pub(crate) fn give(&self) {
-        self.token.store(true, Ordering::Release);
-        if let Some(t) = self.thread.get() {
-            t.unpark();
-        }
-    }
-
-    /// Park until the baton arrives. Spins briefly first: busy processes
-    /// are typically re-dispatched within a few µs, and a futex
-    /// sleep/wake round trip costs more wall time than the spin. The
-    /// spin reads the token (no RMW) so the waiting core does not steal
-    /// the cache line from the giver.
-    pub(crate) fn take(&self) {
-        for _ in 0..spin_budget() {
-            if self.token.load(Ordering::Acquire) {
-                break;
-            }
-            std::hint::spin_loop();
-        }
-        while !self.token.swap(false, Ordering::Acquire) {
-            thread::park();
-        }
-    }
-}
-
-/// Iterations of the pre-park spin in [`Baton::take`] (`SIMKIT_SPIN`
-/// overrides; `0` disables spinning). Spinning only pays when spare
-/// cores exist for the waiter to burn — on small hosts it *steals* CPU
-/// from the running process — so the default is 0 below 4 cores.
-fn spin_budget() -> u32 {
-    static BUDGET: OnceLock<u32> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        if let Some(v) = std::env::var("SIMKIT_SPIN")
-            .ok()
-            .and_then(|v| v.parse().ok())
-        {
-            return v;
-        }
-        let cores = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        if cores >= 4 {
-            4000
-        } else {
-            0
-        }
-    })
-}
+/// A process body waiting for its first dispatch.
+type Body = Box<dyn FnOnce(&Ctx) + Send>;
 
 struct Slot {
     name: Arc<str>,
-    baton: Arc<Baton>,
-    /// Legacy-mode rendezvous: with direct handoff disabled, dispatch
-    /// sends on this channel (and the process waits on the paired
-    /// receiver) exactly as the pre-optimization kernel did, so the
-    /// wall-clock benches' "before" mode reproduces its real cost.
-    resume_tx: SyncSender<()>,
-    join: Option<thread::JoinHandle<()>>,
+    /// The body until the first dispatch moves it onto a coroutine.
+    body: Option<Body>,
     dead: bool,
     killed: bool,
     daemon: bool,
     /// Sequence number of the canonical pending wake timer, if any.
     pending_seq: Option<u64>,
-    /// Virtual instant of the canonical pending wake (meaningful only
-    /// while `pending_seq` is `Some`).
-    pending_time: SimTime,
     /// Processes blocked in `join()` on this process.
     join_waiters: Vec<u32>,
 }
 
 pub(crate) struct KState {
-    now: SimTime,
     next_seq: u64,
     heap: BinaryHeap<Reverse<Timer>>,
     // Dense slab indexed by pid (pids are allocated 0,1,2,… and slots are
     // never removed, only marked dead). Index order doubles as pid order,
     // keeping deadlock-report listings deterministic.
     procs: Vec<Slot>,
-    /// How many *canonical* pending wakes land on each exact nanosecond.
-    /// Ties at equal virtual time are broken by timer insertion sequence,
-    /// so an optimization may only keep a stale timer in place (instead
-    /// of re-pushing) while its nanosecond is uncontended — FlowNet's
-    /// no-op-retime skip consults this to stay byte-identical with the
-    /// retime-everything oracle.
-    pending_at: HashMap<u64, u32>,
     rng: StdRng,
+    /// Event counters; plain integers, since every bump happens under
+    /// this lock anyway.
+    pub(crate) counts: Counts,
 }
 
 impl KState {
     /// Core of [`Kernel::schedule_wake`], callable with the state lock
     /// already held (the batch-retime path).
-    fn schedule_wake_locked(&mut self, hot: &Hot, pid: ProcId, time: SimTime) -> bool {
-        let time = time.max(self.now);
+    fn schedule_wake_locked(&mut self, now: SimTime, pid: ProcId, time: SimTime) -> bool {
+        let time = time.max(now);
         let seq = self.next_seq;
         self.next_seq += 1;
         let Some(slot) = self.procs.get_mut(pid.0 as usize) else {
@@ -203,29 +111,22 @@ impl KState {
         if slot.dead {
             return false;
         }
-        let replaced = slot.pending_seq.replace(seq).map(|_| slot.pending_time);
-        slot.pending_time = time;
-        if let Some(old) = replaced {
-            dec_pending(&mut self.pending_at, old);
-        }
-        *self.pending_at.entry(time.as_nanos()).or_insert(0) += 1;
+        slot.pending_seq = Some(seq);
         self.heap.push(Reverse(Timer {
             time,
             seq,
             pid: pid.0,
         }));
-        Hot::bump(&hot.timer_pushes);
-        hot.raise_peak(self.heap.len() as u64);
+        self.counts.timer_pushes += 1;
+        self.counts.heap_peak = self.counts.heap_peak.max(self.heap.len() as u64);
         true
     }
 
     /// Pop the next valid timer at or before `limit_ns`, skipping stale
-    /// entries, and consume the owner's canonical wake. Advances `now`.
-    /// This is the single dispatch-selection point, shared by the
-    /// scheduler thread and the direct proc→proc handoff path, so both
-    /// produce the identical event order. `legacy` additionally clones
-    /// the owner's resume sender (the channel-dispatch path).
-    fn pop_next(&mut self, hot: &Hot, limit_ns: u64, legacy: bool) -> Popped {
+    /// entries, and consume the owner's canonical wake. The caller advances
+    /// the clock to the popped time. This is the single dispatch-selection
+    /// point.
+    fn pop_next(&mut self, limit_ns: u64) -> Popped {
         loop {
             match self.heap.peek() {
                 None => return Popped::Quiescent,
@@ -239,20 +140,22 @@ impl KState {
                 .map(|s| !s.dead && s.pending_seq == Some(t.seq))
                 .unwrap_or(false);
             if valid {
-                self.now = t.time;
-                let slot = &mut self.procs[t.pid as usize];
-                slot.pending_seq = None;
-                let baton = Arc::clone(&slot.baton);
-                let resume_tx = legacy.then(|| slot.resume_tx.clone());
-                dec_pending(&mut self.pending_at, t.time);
-                return Popped::Ready {
-                    pid: t.pid,
-                    baton,
-                    resume_tx,
-                };
+                self.procs[t.pid as usize].pending_seq = None;
+                self.counts.dispatches += 1;
+                return Popped::Ready(t.pid, t.time);
             }
-            Hot::bump(&hot.stale_skips);
+            self.counts.stale_skips += 1;
         }
+    }
+
+    /// `(pid, name)` of every live non-daemon process, in pid order.
+    fn blocked(&self) -> Vec<(ProcId, String)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.dead && !s.daemon)
+            .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
+            .collect()
     }
 }
 
@@ -260,79 +163,45 @@ impl KState {
 enum Popped {
     Quiescent,
     Limit,
-    Ready {
-        pid: u32,
-        baton: Arc<Baton>,
-        /// `Some` in legacy mode: dispatch by channel send instead of
-        /// baton give.
-        resume_tx: Option<SyncSender<()>>,
-    },
+    Ready(u32, SimTime),
 }
 
-/// Wake the popped process through the mode-appropriate rendezvous.
-fn dispatch(baton: &Baton, resume_tx: Option<SyncSender<()>>) {
-    match resume_tx {
-        Some(tx) => tx
-            .send(())
-            .expect("process thread vanished while scheduled"),
-        None => baton.give(),
-    }
-}
-
-fn dec_pending(pending_at: &mut HashMap<u64, u32>, t: SimTime) {
-    if let Some(c) = pending_at.get_mut(&t.as_nanos()) {
-        *c -= 1;
-        if *c == 0 {
-            pending_at.remove(&t.as_nanos());
-        }
-    }
-}
-
-/// Shared kernel: the scheduler state plus the yield channel sender handed
-/// to every process thread.
+/// Shared kernel: the scheduler state, the clock, the tracer and the
+/// self-profile.
 pub(crate) struct Kernel {
     pub(crate) st: Mutex<KState>,
-    pub(crate) yield_tx: Sender<YieldMsg>,
+    /// Virtual time in ns. Outside the lock so reading the clock — the
+    /// most frequent kernel call — costs one load; only the driving
+    /// thread advances it.
+    now_ns: AtomicU64,
     pub(crate) tracer: Tracer,
     pub(crate) hot: Hot,
-    /// Direct proc→proc dispatch enabled. Off: every event routes through
-    /// the scheduler thread (two context switches per event — the legacy
-    /// path, kept for the wall-clock benches' "before" mode).
-    direct: AtomicBool,
-    /// Virtual-time limit (nanos) of the drive loop currently in
-    /// progress; the handoff path must not dispatch past it. `u64::MAX`
-    /// outside a drive loop (no process runs then anyway).
-    limit_ns: AtomicU64,
-    /// Stop flag of an in-progress `run_until_set` (the target event's
-    /// set-mirror). The handoff path re-checks it before every dispatch,
-    /// exactly as the scheduler loop checks `event.is_set()` between
-    /// events, and breaks the chain once it reads true.
-    stop: Mutex<Option<Arc<AtomicBool>>>,
-    /// Default for [`FlowNet`](crate::FlowNet)s created on this kernel:
-    /// retime every flow on every recompute (the pre-incremental oracle).
-    pub(crate) full_retime_default: AtomicBool,
 }
 
 impl Kernel {
     pub(crate) fn now(&self) -> SimTime {
-        self.st.lock().now
+        SimTime::from_nanos(self.now_ns.load(Ordering::Relaxed))
+    }
+
+    fn set_now(&self, t: SimTime) {
+        self.now_ns.store(t.as_nanos(), Ordering::Relaxed);
     }
 
     /// Push a fresh canonical wake for `pid` at `time` (replacing any
     /// pending one). No-op on dead processes. Returns whether a wake was
     /// actually scheduled.
     pub(crate) fn schedule_wake(&self, pid: ProcId, time: SimTime) -> bool {
-        self.st.lock().schedule_wake_locked(&self.hot, pid, time)
+        self.st.lock().schedule_wake_locked(self.now(), pid, time)
     }
 
     /// Run `f` against a [`WakeBatch`]: the scheduler lock is taken once
-    /// for any number of wake pushes and pending-timer queries. Used by
-    /// FlowNet's retime loop instead of per-flow `schedule_wake` calls.
+    /// for any number of wake pushes. Used by FlowNet's retime loop
+    /// instead of per-flow `schedule_wake` calls.
     pub(crate) fn with_wake_batch<R>(&self, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
         let mut st = self.st.lock();
         f(&mut WakeBatch {
             st: &mut st,
-            hot: &self.hot,
+            now: self.now(),
         })
     }
 
@@ -342,7 +211,8 @@ impl Kernel {
         self.schedule_wake(pid, now)
     }
 
-    /// Mark `pid` killed and schedule an immediate wake so it unwinds.
+    /// Mark `pid` killed and schedule an immediate wake so it unwinds when
+    /// it is next dispatched.
     pub(crate) fn kill(&self, pid: ProcId) {
         {
             let mut st = self.st.lock();
@@ -402,53 +272,9 @@ impl Kernel {
             .unwrap_or_else(|| Arc::from("<gone>"))
     }
 
-    /// Try to dispatch the next event directly from a yielding process
-    /// (one context switch instead of a scheduler round trip). Returns
-    /// `false` when the chain must break to the scheduler thread instead:
-    /// direct handoff disabled, the stop flag fired, the heap drained, or
-    /// the next timer lies past the drive limit.
-    pub(crate) fn try_handoff(&self) -> bool {
-        if !self.direct.load(Ordering::Relaxed) {
-            return false;
-        }
-        // Same between-events check the scheduler loop performs: once the
-        // run_until_set target fires, no further event may be dispatched.
-        let stop = self.stop.lock().clone();
-        if let Some(flag) = stop {
-            if flag.load(Ordering::Acquire) {
-                return false;
-            }
-        }
-        let limit_ns = self.limit_ns.load(Ordering::Relaxed);
-        let t_sched = self.hot.clock();
-        let popped = self.st.lock().pop_next(&self.hot, limit_ns, false);
-        match popped {
-            Popped::Ready { pid, baton, .. } => {
-                self.hot.lap(t_sched, HotCat::Sched);
-                Hot::bump(&self.hot.dispatches);
-                Hot::bump(&self.hot.direct_handoffs);
-                self.hot.count_proc(pid);
-                baton.give();
-                true
-            }
-            Popped::Quiescent | Popped::Limit => false,
-        }
-    }
-
-    /// Whether direct proc→proc dispatch is enabled.
-    pub(crate) fn direct_on(&self) -> bool {
-        self.direct.load(Ordering::Relaxed)
-    }
-
-    /// Install the stop flag consulted by [`Kernel::try_handoff`];
-    /// cleared when the returned guard drops.
-    fn install_stop(self: &Arc<Self>, flag: Arc<AtomicBool>) -> StopGuard {
-        *self.stop.lock() = Some(flag);
-        StopGuard(Arc::clone(self))
-    }
-
     /// Spawn a new simulated process; it will first run at the current
-    /// virtual instant, after already-scheduled same-time timers.
+    /// virtual instant, after already-scheduled same-time timers. The body
+    /// waits in the slot until that first dispatch.
     pub(crate) fn spawn_inner(
         self: &Arc<Self>,
         name: &str,
@@ -456,72 +282,21 @@ impl Kernel {
         f: impl FnOnce(&Ctx) + Send + 'static,
     ) -> ProcHandle {
         let t0 = self.hot.clock();
-        let baton = Arc::new(Baton::new());
-        let (resume_tx, resume_rx) = sync_channel::<()>(1);
-        let interned: Arc<str> = Arc::from(name);
         let pid = {
             let mut st = self.st.lock();
+            st.counts.spawns += 1;
             let pid = st.procs.len() as u32;
             st.procs.push(Slot {
-                name: Arc::clone(&interned),
-                baton: Arc::clone(&baton),
-                resume_tx,
-                join: None,
+                name: Arc::from(name),
+                body: Some(Box::new(f)),
                 dead: false,
                 killed: false,
                 daemon,
                 pending_seq: None,
-                pending_time: SimTime::ZERO,
                 join_waiters: Vec::new(),
             });
-            pid
+            ProcId(pid)
         };
-        let pid = ProcId(pid);
-        let kernel = Arc::clone(self);
-        let yield_tx = self.yield_tx.clone();
-        let thread_baton = Arc::clone(&baton);
-        let tname = format!("sim:{name}");
-        let jh = thread::Builder::new()
-            .name(tname)
-            .stack_size(512 * 1024)
-            .spawn(move || {
-                // Wait for the first dispatch (teardown wakes us too; the
-                // kill flag then routes straight to unwind).
-                if kernel.direct_on() {
-                    thread_baton.take();
-                } else if resume_rx.recv().is_err() {
-                    return; // torn down before we ever ran
-                }
-                let ctx = Ctx::new(
-                    Arc::clone(&kernel),
-                    pid,
-                    Arc::clone(&thread_baton),
-                    resume_rx,
-                );
-                let fin = if kernel.is_killed(pid) {
-                    Fin::Killed
-                } else {
-                    match catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
-                        Ok(()) => Fin::Ok,
-                        Err(p) if p.is::<Killed>() => Fin::Killed,
-                        Err(p) => Fin::Panic(panic_message(&*p)),
-                    }
-                };
-                let _ = yield_tx.send(YieldMsg {
-                    pid: pid.0,
-                    finished: Some(fin),
-                });
-            })
-            .expect("failed to spawn simulation process thread");
-        // Register the unpark target before the first wake can possibly
-        // be dispatched (the wake is only scheduled below).
-        let _ = baton.thread.set(jh.thread().clone());
-        Hot::bump(&self.hot.spawns);
-        Hot::bump(&self.hot.threads_created);
-        {
-            let mut st = self.st.lock();
-            st.procs[pid.0 as usize].join = Some(jh);
-        }
         self.schedule_wake(pid, self.now());
         self.tracer.name_proc(pid, name);
         if self.tracer.armed() {
@@ -532,7 +307,7 @@ impl Kernel {
         ProcHandle::new(pid, Arc::clone(self))
     }
 
-    /// Mark a process dead and wake anyone joined on it. Returns its name.
+    /// Mark a process dead and return its name and join waiters.
     fn finish_proc(&self, pid: u32) -> (Arc<str>, Vec<u32>) {
         let mut st = self.st.lock();
         let slot = st
@@ -540,22 +315,19 @@ impl Kernel {
             .get_mut(pid as usize)
             .expect("finish of unknown proc");
         slot.dead = true;
-        let stale = slot.pending_seq.take().map(|_| slot.pending_time);
-        let name = Arc::clone(&slot.name);
-        let waiters = std::mem::take(&mut slot.join_waiters);
-        if let Some(t) = stale {
-            dec_pending(&mut st.pending_at, t);
-        }
-        (name, waiters)
+        slot.pending_seq = None;
+        (
+            Arc::clone(&slot.name),
+            std::mem::take(&mut slot.join_waiters),
+        )
     }
-}
 
-/// Clears the kernel stop flag on drop (see [`Kernel::install_stop`]).
-struct StopGuard(Arc<Kernel>);
-
-impl Drop for StopGuard {
-    fn drop(&mut self) {
-        *self.0.stop.lock() = None;
+    /// Profile snapshot, with run time grouped by proc-name prefix.
+    fn hot_stats(&self) -> HotStats {
+        let st = self.st.lock();
+        self.hot.snapshot(&st.counts, |pid| {
+            st.procs.get(pid as usize).map(|s| &*s.name)
+        })
     }
 }
 
@@ -565,32 +337,18 @@ impl Drop for StopGuard {
 /// [`Kernel::schedule_wake`] calls; only the locking is batched.
 pub(crate) struct WakeBatch<'a> {
     st: &'a mut KState,
-    hot: &'a Hot,
+    now: SimTime,
 }
 
 impl WakeBatch<'_> {
     /// See [`Kernel::schedule_wake`].
     pub(crate) fn schedule_wake(&mut self, pid: ProcId, time: SimTime) -> bool {
-        self.st.schedule_wake_locked(self.hot, pid, time)
+        self.st.schedule_wake_locked(self.now, pid, time)
     }
 
-    /// Whether `pid`'s canonical pending wake exists and sits at exactly
-    /// `time`.
-    pub(crate) fn pending_matches(&self, pid: ProcId, time: SimTime) -> bool {
-        self.st
-            .procs
-            .get(pid.0 as usize)
-            .map(|s| s.pending_seq.is_some() && s.pending_time == time)
-            .unwrap_or(false)
-    }
-
-    /// Number of canonical pending wakes at exactly `time` (any process).
-    pub(crate) fn pending_count_at(&self, time: SimTime) -> u32 {
-        self.st
-            .pending_at
-            .get(&time.as_nanos())
-            .copied()
-            .unwrap_or(0)
+    /// The kernel's event counters.
+    pub(crate) fn counts(&mut self) -> &mut Counts {
+        &mut self.st.counts
     }
 }
 
@@ -712,29 +470,13 @@ impl SimHandle {
     /// Snapshot the kernel self-profile (see [`HotStats`]). Counters are
     /// always live; wall-clock categories need profiling armed.
     pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot.snapshot()
+        self.kernel.hot_stats()
     }
 
     /// Arm or disarm wall-clock profiling at runtime (equivalent to the
     /// `SIMKIT_PROF=1` environment variable at construction).
     pub fn set_prof(&self, on: bool) {
         self.kernel.hot.set_prof(on)
-    }
-
-    /// Enable or disable direct proc→proc event dispatch (default on;
-    /// `SIMKIT_NO_HANDOFF=1` starts it off). Off, every event takes a
-    /// scheduler-thread round trip — the legacy path the wall-clock
-    /// benches use as their "before" mode. Dispatch order, and therefore
-    /// the trace stream, is identical either way.
-    pub fn set_direct_handoff(&self, on: bool) {
-        self.kernel.direct.store(on, Ordering::Relaxed)
-    }
-
-    /// Set the default retiming mode for [`FlowNet`](crate::FlowNet)s
-    /// created on this kernel from now on: `true` forces the full
-    /// retime-everything oracle (equivalent to `SIMKIT_FULL_RETIME=1`).
-    pub fn set_full_retime_default(&self, on: bool) {
-        self.kernel.full_retime_default.store(on, Ordering::Relaxed)
     }
 }
 
@@ -753,13 +495,24 @@ pub enum RunOutcome {
     LimitReached,
 }
 
-/// A discrete-event simulation: owns the scheduler loop.
+/// A discrete-event simulation: owns the scheduler loop and every
+/// process's coroutine.
 ///
 /// Construct with [`Simulation::new`], spawn processes, then drive with
 /// [`Simulation::run`] (to quiescence) or [`Simulation::run_until`].
+///
+/// A `Simulation` is `!Send`: process stacks belong to the thread that
+/// drives them.
+///
+/// ```compile_fail
+/// fn assert_send<T: Send>() {}
+/// assert_send::<simkit::Simulation>();
+/// ```
 pub struct Simulation {
     kernel: Arc<Kernel>,
-    yield_rx: Receiver<YieldMsg>,
+    /// Coroutine of each started, unfinished process, indexed by pid.
+    coros: Vec<Option<Coro>>,
+    stacks: StackPool,
     /// Set once a process panic has aborted the run; further use is a bug.
     poisoned: bool,
 }
@@ -780,28 +533,22 @@ impl Simulation {
                 prev(info);
             }));
         });
-        let (yield_tx, yield_rx) = channel();
-        let env_on = |k: &str| std::env::var(k).map(|v| v == "1").unwrap_or(false);
         let kernel = Arc::new(Kernel {
             st: Mutex::new(KState {
-                now: SimTime::ZERO,
                 next_seq: 0,
                 heap: BinaryHeap::new(),
                 procs: Vec::new(),
-                pending_at: HashMap::new(),
                 rng: StdRng::seed_from_u64(seed),
+                counts: Counts::default(),
             }),
-            yield_tx,
+            now_ns: AtomicU64::new(0),
             tracer: Tracer::new(),
             hot: Hot::new(),
-            direct: AtomicBool::new(!env_on("SIMKIT_NO_HANDOFF")),
-            limit_ns: AtomicU64::new(u64::MAX),
-            stop: Mutex::new(None),
-            full_retime_default: AtomicBool::new(env_on("SIMKIT_FULL_RETIME")),
         });
         Simulation {
             kernel,
-            yield_rx,
+            coros: Vec::new(),
+            stacks: StackPool::default(),
             poisoned: false,
         }
     }
@@ -830,7 +577,7 @@ impl Simulation {
 
     /// Snapshot the kernel self-profile (see [`HotStats`]).
     pub fn hot_stats(&self) -> HotStats {
-        self.kernel.hot.snapshot()
+        self.kernel.hot_stats()
     }
 
     /// Run until `event` fires. Use this to drive simulations containing
@@ -842,9 +589,6 @@ impl Simulation {
         event: &crate::sync::Event,
         limit: SimTime,
     ) -> Result<(), SimError> {
-        // Arm the handoff chain-breaker: a direct dispatch checks this
-        // flag exactly where this loop checks `event.is_set()`.
-        let _stop = self.kernel.install_stop(event.set_mirror());
         loop {
             if event.is_set() {
                 return Ok(());
@@ -855,17 +599,9 @@ impl Simulation {
                     if event.is_set() {
                         return Ok(());
                     }
-                    let st = self.kernel.st.lock();
-                    let blocked: Vec<(ProcId, String)> = st
-                        .procs
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, s)| !s.dead && !s.daemon)
-                        .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
-                        .collect();
                     return Err(SimError::Deadlock {
-                        at: st.now,
-                        blocked,
+                        at: self.now(),
+                        blocked: self.kernel.st.lock().blocked(),
                     });
                 }
             }
@@ -877,19 +613,12 @@ impl Simulation {
     pub fn run(&mut self) -> Result<(), SimError> {
         self.drive(SimTime::MAX)?;
         // Heap drained: any live, blocked, non-daemon process is deadlocked.
-        let st = self.kernel.st.lock();
-        let blocked: Vec<(ProcId, String)> = st
-            .procs
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.dead && !s.daemon)
-            .map(|(pid, s)| (ProcId(pid as u32), s.name.to_string()))
-            .collect();
+        let blocked = self.kernel.st.lock().blocked();
         if blocked.is_empty() {
             Ok(())
         } else {
             Err(SimError::Deadlock {
-                at: st.now,
+                at: self.now(),
                 blocked,
             })
         }
@@ -901,8 +630,7 @@ impl Simulation {
     pub fn run_until(&mut self, limit: SimTime) -> Result<RunOutcome, SimError> {
         let outcome = self.drive(limit)?;
         if outcome == RunOutcome::LimitReached {
-            let mut st = self.kernel.st.lock();
-            st.now = limit;
+            self.kernel.set_now(limit);
         }
         Ok(outcome)
     }
@@ -923,119 +651,117 @@ impl Simulation {
         }
     }
 
-    /// Dispatch the next event from the scheduler thread and wait for the
-    /// baton to come back. With direct handoff enabled the wait may span
-    /// a whole proc→proc chain of events; the yield that wakes us then
-    /// comes from whichever process broke the chain, not necessarily the
-    /// one dispatched here.
+    /// Dispatch the next event: switch onto its owner's stack and run it
+    /// until it blocks or finishes, then do the finish bookkeeping.
     fn step_one(&mut self, limit: SimTime) -> Result<StepResult, SimError> {
         assert!(!self.poisoned, "simulation used after a process panic");
-        // Publish the limit for the handoff path before dispatching.
-        self.kernel
-            .limit_ns
-            .store(limit.as_nanos(), Ordering::Relaxed);
-        let legacy = !self.kernel.direct_on();
-        let t_sched = self.kernel.hot.clock();
-        let popped = self
-            .kernel
-            .st
-            .lock()
-            .pop_next(&self.kernel.hot, limit.as_nanos(), legacy);
-        let (pid, baton, resume_tx) = match popped {
+        let hot = &self.kernel.hot;
+        let t_sched = hot.clock();
+        let popped = self.kernel.st.lock().pop_next(limit.as_nanos());
+        let pid = match popped {
             Popped::Quiescent => return Ok(StepResult::Quiescent),
             Popped::Limit => return Ok(StepResult::LimitReached),
-            Popped::Ready {
-                pid,
-                baton,
-                resume_tx,
-            } => (ProcId(pid), baton, resume_tx),
+            Popped::Ready(pid, time) => {
+                self.kernel.set_now(time);
+                pid
+            }
         };
-        self.kernel.hot.lap(t_sched, HotCat::Sched);
-        Hot::bump(&self.kernel.hot.dispatches);
-        self.kernel.hot.count_proc(pid.0);
-        // Hand the baton over and wait for some process to yield back.
-        let t_run = self.kernel.hot.clock();
-        dispatch(&baton, resume_tx);
-        let msg = self
-            .yield_rx
-            .recv()
-            .expect("yield channel closed unexpectedly");
-        self.kernel.hot.lap(t_run, HotCat::Run);
-        if let Some(fin) = msg.finished {
-            let fin_pid = ProcId(msg.pid);
-            let (name, waiters) = self.kernel.finish_proc(msg.pid);
-            for w in waiters {
-                self.kernel.wake_now(ProcId(w));
-            }
-            match fin {
-                Fin::Ok => self
-                    .kernel
-                    .tracer
-                    .rec(self.now(), Some(fin_pid), "finished"),
-                Fin::Killed => self
-                    .kernel
-                    .tracer
-                    .rec(self.now(), Some(fin_pid), "died (killed)"),
-                Fin::Panic(message) => {
-                    self.poisoned = true;
-                    return Err(SimError::ProcPanic {
-                        pid: fin_pid,
-                        name: name.to_string(),
-                        message,
-                    });
-                }
-            }
-            // Reap the thread: it has sent its final yield and is exiting.
-            let jh = {
-                let mut st = self.kernel.st.lock();
-                st.procs
-                    .get_mut(msg.pid as usize)
-                    .and_then(|s| s.join.take())
-            };
-            if let Some(jh) = jh {
-                let _ = jh.join();
+        hot.lap(t_sched, HotCat::Sched);
+        let t_run = hot.clock();
+        let fin = self.resume(pid);
+        self.kernel.hot.lap_run(pid, t_run);
+        let Some(fin) = fin else {
+            return Ok(StepResult::Ran);
+        };
+        let fin_pid = ProcId(pid);
+        let (name, waiters) = self.kernel.finish_proc(pid);
+        for w in waiters {
+            self.kernel.wake_now(ProcId(w));
+        }
+        let tracer = &self.kernel.tracer;
+        match fin {
+            Fin::Ok => tracer.rec(self.now(), Some(fin_pid), "finished"),
+            Fin::Killed => tracer.rec(self.now(), Some(fin_pid), "died (killed)"),
+            Fin::Panic(message) => {
+                self.poisoned = true;
+                return Err(SimError::ProcPanic {
+                    pid: fin_pid,
+                    name: name.to_string(),
+                    message,
+                });
             }
         }
         Ok(StepResult::Ran)
     }
+
+    /// Run `pid` on its coroutine (creating it at the first dispatch)
+    /// until it blocks (`None`) or finishes. A process killed before its
+    /// first dispatch never runs: its body is dropped here.
+    fn resume(&mut self, pid: u32) -> Option<Fin> {
+        let idx = pid as usize;
+        if idx >= self.coros.len() {
+            self.coros.resize_with(idx + 1, || None);
+        }
+        if self.coros[idx].is_none() {
+            let (body, killed) = {
+                let mut st = self.kernel.st.lock();
+                let slot = &mut st.procs[idx];
+                (slot.body.take(), slot.killed)
+            };
+            let body = body.expect("dispatched a process with no body");
+            if killed {
+                drop(body);
+                return Some(Fin::Killed);
+            }
+            let kernel = Arc::clone(&self.kernel);
+            let run = Box::new(move || body(&Ctx::new(kernel, ProcId(pid))));
+            self.coros[idx] = Some(Coro::new(&mut self.stacks, run));
+        }
+        let result = self.coros[idx].as_mut()?.resume()?;
+        if let Some(coro) = self.coros[idx].take() {
+            coro.recycle(&mut self.stacks);
+        }
+        Some(match result {
+            Ok(()) => Fin::Ok,
+            Err(p) if p.is::<Killed>() => Fin::Killed,
+            Err(p) => Fin::Panic(panic_message(&*p)),
+        })
+    }
 }
 
-/// Both wake mechanisms plus the join handle of one live proc, captured
-/// at teardown.
-type TeardownVictim = (Arc<Baton>, SyncSender<()>, Option<thread::JoinHandle<()>>);
-
 impl Drop for Simulation {
+    /// Kill every live process, then unwind them one at a time in pid
+    /// order, each on its own stack, so its guards run exactly once. A
+    /// process that never started just drops its body. Processes spawned
+    /// during the teardown are torn down the same way.
     fn drop(&mut self) {
-        // Kill every live process, release each thread so it unwinds, then
-        // join them all. Threads may briefly run concurrently during this
-        // teardown; no simulation state advances. Disable direct handoff
-        // first so an unwinding process cannot re-dispatch a victim.
-        self.kernel.direct.store(false, Ordering::Relaxed);
-        let victims: Vec<TeardownVictim> = {
-            let mut st = self.kernel.st.lock();
-            st.procs
-                .iter_mut()
-                .filter(|s| !s.dead)
-                .map(|s| {
-                    s.killed = true;
-                    (Arc::clone(&s.baton), s.resume_tx.clone(), s.join.take())
-                })
-                .collect()
-        };
-        // Wake both rendezvous mechanisms: each victim waits on whichever
-        // matched the dispatch mode at the time it parked.
-        for (baton, tx, _) in &victims {
-            let _ = tx.try_send(());
-            baton.give();
-        }
-        // Drain final yields so senders don't block, then join.
-        for _ in 0..victims.len() {
-            let _ = self.yield_rx.recv();
-        }
-        for (_, _, jh) in victims {
-            if let Some(jh) = jh {
-                let _ = jh.join();
+        for slot in self.kernel.st.lock().procs.iter_mut() {
+            if !slot.dead {
+                slot.killed = true;
             }
+        }
+        let mut idx = 0;
+        loop {
+            let body = {
+                let mut st = self.kernel.st.lock();
+                let Some(slot) = st.procs.get_mut(idx) else {
+                    break;
+                };
+                if slot.dead {
+                    idx += 1;
+                    continue;
+                }
+                slot.killed = true;
+                slot.body.take()
+            };
+            // Outside the lock: dropping a body may touch the kernel.
+            drop(body);
+            if let Some(mut coro) = self.coros.get_mut(idx).and_then(Option::take) {
+                while coro.resume().is_none() {}
+                coro.recycle(&mut self.stacks);
+            }
+            self.kernel.finish_proc(idx as u32);
+            idx += 1;
         }
     }
 }

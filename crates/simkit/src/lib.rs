@@ -2,26 +2,30 @@
 //!
 //! `simkit` provides the virtual-time substrate on which the rest of this
 //! workspace simulates an InfiniBand cluster: a scheduler with a nanosecond
-//! virtual clock, *cooperative-thread processes* (each simulated process is
-//! an OS thread that runs only while it holds the baton), timers, one-shot
-//! events, FIFO queues, counting semaphores, and fluid-flow (processor
-//! sharing) bandwidth links.
+//! virtual clock, *coroutine processes* (each simulated process is a
+//! stackful coroutine with its own stack, run on the thread that drives the
+//! simulation), timers, one-shot events, FIFO queues, counting semaphores,
+//! and fluid-flow (processor sharing) bandwidth links.
 //!
 //! ## Model
 //!
-//! * Exactly **one** process executes at any instant; the scheduler hands
-//!   control to the process owning the earliest `(time, seq)` timer. Given a
-//!   fixed seed, a simulation is fully deterministic.
+//! * Exactly **one** process executes at any instant; the scheduler pops
+//!   the earliest `(time, seq)` timer and switches onto its owner's stack.
+//!   A blocking call switches back. Given a fixed seed, a simulation is
+//!   fully deterministic, and it runs on one OS thread however many
+//!   processes it holds.
 //! * A process blocks by calling a primitive ([`Ctx::sleep`],
 //!   [`Event::wait`], [`Queue::pop`], [`Link::transfer`], ...). Each block
 //!   has a single *canonical wake*: a timer in the kernel heap. Wakers
 //!   replace the pending timer, so retiming (e.g. a bandwidth share change)
 //!   and spurious-wake suppression are uniform.
-//! * Killing a process ([`SimHandle::kill`]) raises a [`Killed`] unwind at
-//!   its next blocking call; the thread harness recognises the sentinel and
-//!   records a clean death. This mirrors how signal-driven teardown
-//!   interrupts real processes without forcing error plumbing through
-//!   application code.
+//! * Killing a process ([`SimHandle::kill`]) raises a [`Killed`] unwind on
+//!   its own stack when it is next dispatched; the coroutine base catches
+//!   the sentinel and records a clean death. This mirrors how signal-driven
+//!   teardown interrupts real processes without forcing error plumbing
+//!   through application code.
+//! * Process stacks are 512 KiB, mmap'd with a guard page. The kernel
+//!   supports x86_64 and aarch64 Linux; a [`Simulation`] is `!Send`.
 //!
 //! ## Quick start
 //!
@@ -44,6 +48,9 @@
 //! sim.run().unwrap();
 //! ```
 
+#![deny(unsafe_code)]
+
+mod coro;
 mod error;
 mod flownet;
 mod hotstats;

@@ -1,17 +1,19 @@
 //! Per-process execution context.
 
+use crate::coro;
 use crate::error::Killed;
-use crate::kernel::{Baton, Kernel, ProcId, SimHandle, YieldMsg};
+use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::time::SimTime;
 use crate::trace::Args;
 use rand::rngs::StdRng;
-use std::sync::mpsc::Receiver;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// The execution context handed to every simulated process body.
 ///
-/// A `Ctx` is unique to its process thread; blocking calls
+/// A `Ctx` lives on its process's coroutine stack and is neither `Send`
+/// nor `Sync`, so it never leaves that process; blocking calls
 /// ([`Ctx::sleep`], [`Event::wait`](crate::Event::wait), [`Queue::pop`](crate::Queue::pop),
 /// [`Link::transfer`](crate::Link::transfer), ...)
 /// may only be made through it. All blocking calls are kill points: if the
@@ -19,24 +21,16 @@ use std::time::Duration;
 pub struct Ctx {
     kernel: Arc<Kernel>,
     pid: ProcId,
-    baton: Arc<Baton>,
-    /// Legacy-mode rendezvous (direct handoff disabled): the channel the
-    /// scheduler's dispatch send arrives on.
-    resume_rx: Receiver<()>,
+    /// Pins the context to its coroutine: `!Send` and `!Sync`.
+    _local: PhantomData<*const ()>,
 }
 
 impl Ctx {
-    pub(crate) fn new(
-        kernel: Arc<Kernel>,
-        pid: ProcId,
-        baton: Arc<Baton>,
-        resume_rx: Receiver<()>,
-    ) -> Self {
+    pub(crate) fn new(kernel: Arc<Kernel>, pid: ProcId) -> Self {
         Ctx {
             kernel,
             pid,
-            baton,
-            resume_rx,
+            _local: PhantomData,
         }
     }
 
@@ -172,31 +166,25 @@ impl Ctx {
         }
     }
 
-    /// Yield the baton and park until the canonical wake fires.
+    /// Switch back to the scheduler until the canonical wake fires.
     ///
     /// The caller must have *already registered* its wake condition (a
     /// timer via `schedule_wake`, or membership in a primitive's waiter
     /// list). Checks the kill flag on resume.
+    ///
+    /// Blocking while unwinding aborts the process: the thread's panic
+    /// count is shared by every coroutine on it, so a stack must not be
+    /// left mid-unwind.
     pub(crate) fn block(&self) {
-        // Fast path: dispatch the next event ourselves (one context
-        // switch). Chain breaks — finish, quiescence, limit, stop flag,
-        // handoff disabled — wake the scheduler thread instead.
-        if !self.kernel.try_handoff() {
-            self.kernel
-                .yield_tx
-                .send(YieldMsg {
-                    pid: self.pid.0,
-                    finished: None,
-                })
-                .expect("scheduler gone while process running");
+        if std::thread::panicking() {
+            eprintln!(
+                "simkit: process {:?} ({}) blocked while unwinding; aborting",
+                self.pid,
+                self.name()
+            );
+            std::process::abort();
         }
-        if self.kernel.direct_on() {
-            self.baton.take();
-        } else {
-            self.resume_rx
-                .recv()
-                .expect("scheduler dropped resume channel");
-        }
+        coro::suspend();
         self.check_killed();
     }
 }

@@ -21,7 +21,7 @@ use crate::kernel::ProcId;
 use crate::time::SimTime;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A single legacy trace record (free-form message view of the stream).
 #[derive(Debug, Clone)]
@@ -202,20 +202,22 @@ impl TraceDigest {
 ///
 /// Disabled by default; an emit is a single relaxed atomic load when off.
 pub struct Tracer {
-    enabled: AtomicBool,
-    echo: AtomicBool,
-    digest_on: AtomicBool,
+    /// `ENABLED | ECHO | DIGEST` bits, one word so the disabled check is
+    /// one load.
+    flags: AtomicU8,
     digest: Mutex<TraceDigest>,
     events: Mutex<Vec<TraceEvent>>,
     proc_names: Mutex<HashMap<u32, String>>,
 }
 
+const ENABLED: u8 = 1;
+const ECHO: u8 = 2;
+const DIGEST: u8 = 4;
+
 impl Tracer {
     pub(crate) fn new() -> Self {
         Tracer {
-            enabled: AtomicBool::new(false),
-            echo: AtomicBool::new(false),
-            digest_on: AtomicBool::new(false),
+            flags: AtomicU8::new(0),
             digest: Mutex::new(TraceDigest::new()),
             events: Mutex::new(Vec::new()),
             proc_names: Mutex::new(HashMap::new()),
@@ -227,7 +229,7 @@ impl Tracer {
     /// construction like `set_enabled` but stores nothing per event, so
     /// soak-length runs can be digested in O(1) memory.
     pub fn set_digest_enabled(&self, on: bool) {
-        self.digest_on.store(on, Ordering::Relaxed);
+        self.set_flag(DIGEST, on);
     }
 
     /// The running digest over every event folded so far.
@@ -237,26 +239,36 @@ impl Tracer {
 
     /// Turn event collection on or off.
     pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.set_flag(ENABLED, on);
     }
 
     /// Also print each event to stderr as it is recorded.
     pub fn set_echo(&self, on: bool) {
-        self.echo.store(on, Ordering::Relaxed);
+        self.set_flag(ECHO, on);
+    }
+
+    fn set_flag(&self, bit: u8, on: bool) {
+        if on {
+            self.flags.fetch_or(bit, Ordering::Relaxed);
+        } else {
+            self.flags.fetch_and(!bit, Ordering::Relaxed);
+        }
+    }
+
+    fn flag(&self, bit: u8) -> bool {
+        self.flags.load(Ordering::Relaxed) & bit != 0
     }
 
     /// Whether collection is enabled. Check this before building an
     /// expensive event payload (formatted names, argument vectors).
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
+        self.flag(ENABLED)
     }
 
     #[inline]
     pub(crate) fn armed(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-            || self.echo.load(Ordering::Relaxed)
-            || self.digest_on.load(Ordering::Relaxed)
+        self.flags.load(Ordering::Relaxed) != 0
     }
 
     /// Record a process name so exporters can label its track. Called by
@@ -276,10 +288,10 @@ impl Tracer {
         if !self.armed() {
             return;
         }
-        if self.digest_on.load(Ordering::Relaxed) {
+        if self.flag(DIGEST) {
             self.digest.lock().fold_event(&ev);
         }
-        if self.echo.load(Ordering::Relaxed) {
+        if self.flag(ECHO) {
             let t = ev.time;
             let what = match &ev.kind {
                 EventKind::Begin => format!("[{}] {} begin", ev.cat, ev.name),
@@ -293,7 +305,7 @@ impl Tracer {
                 None => eprintln!("[{t}] {what}"),
             }
         }
-        if self.enabled.load(Ordering::Relaxed) {
+        if self.flag(ENABLED) {
             self.events.lock().push(ev);
         }
     }

@@ -1,13 +1,12 @@
-//! Property: incremental FlowNet retiming is observably identical to the
-//! full `recompute_and_retime` oracle.
+//! Property: FlowNet is deterministic and conserves bytes on random flow
+//! schedules.
 //!
-//! The incremental path skips rescheduling a flow's completion wake when
-//! its rate and wake instant are provably unchanged (see the skip-guard
-//! conditions in `flownet.rs`). This property drives random flow
-//! add/remove schedules — staggered starts, shared links, mid-flight
-//! kills — through both modes and asserts the runs are *bit*-identical:
-//! same completion nanoseconds per flow, same per-link completed bytes,
-//! and the same FNV digest over the full trace stream.
+//! Random flow add/remove schedules — staggered starts, shared links,
+//! mid-flight kills — each run twice. The two runs must be *bit*-identical
+//! (same completion nanoseconds per flow, same per-link completed bytes,
+//! same FNV digest over the full trace stream), and every link's completed
+//! bytes must equal the sum of the bytes of the flows that completed on
+//! it: a killed flow carries nothing, a finished one its whole size.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -32,33 +31,34 @@ struct FlowSpec {
 struct Observed {
     /// (flow index, completion time in ns) for flows that finished.
     completions: Vec<(usize, u64)>,
+    /// Links each flow crossed, by index.
+    paths: Vec<Vec<usize>>,
     /// Completed bytes per link.
     link_bytes: Vec<u64>,
     digest: TraceDigest,
 }
 
-fn run_schedule(full_retime: bool, caps: &[f64], flows: &[FlowSpec]) -> Observed {
+fn run_schedule(caps: &[f64], flows: &[FlowSpec]) -> Observed {
     let mut sim = Simulation::new(7);
     let handle = sim.handle();
     handle.tracer().set_digest_enabled(true);
     let net = FlowNet::new(&handle);
-    net.set_full_retime(full_retime);
     let links: Vec<_> = caps
         .iter()
         .enumerate()
         .map(|(i, c)| net.add_link(&format!("l{i}"), *c, Sharing::Fair))
         .collect();
     let completions: Arc<Mutex<Vec<(usize, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+    let mut paths = Vec::new();
     for (i, f) in flows.iter().enumerate() {
-        let mut path: Vec<_> = links
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| f.link_mask & (1 << j) != 0)
-            .map(|(_, l)| *l)
+        let mut on: Vec<usize> = (0..links.len())
+            .filter(|j| f.link_mask & (1 << j) != 0)
             .collect();
-        if path.is_empty() {
-            path.push(links[0]);
+        if on.is_empty() {
+            on.push(0);
         }
+        let path: Vec<_> = on.iter().map(|&j| links[j]).collect();
+        paths.push(on);
         let net = net.clone();
         let done = Arc::clone(&completions);
         let start = Duration::from_nanos(f.start_ns);
@@ -81,6 +81,7 @@ fn run_schedule(full_retime: bool, caps: &[f64], flows: &[FlowSpec]) -> Observed
     completions.sort();
     Observed {
         completions,
+        paths,
         link_bytes: links.iter().map(|l| net.bytes_completed_on(*l)).collect(),
         digest: handle.tracer().digest(),
     }
@@ -106,18 +107,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn incremental_retiming_matches_full_oracle(
+    fn flow_schedules_replay_and_conserve_bytes(
         caps_mbps in proptest::collection::vec(1u64..1000, 1..5),
         flows in proptest::collection::vec(flow_strategy(), 1..10),
     ) {
         let caps: Vec<f64> = caps_mbps.iter().map(|m| *m as f64 * 1e6).collect();
-        let incremental = run_schedule(false, &caps, &flows);
-        let oracle = run_schedule(true, &caps, &flows);
+        let first = run_schedule(&caps, &flows);
+        let second = run_schedule(&caps, &flows);
         // Completion instants bit-identical (u64 nanos — any rate drift
         // would shift these), per-link byte totals identical, and the
         // whole trace stream byte-identical.
-        prop_assert_eq!(&incremental.completions, &oracle.completions);
-        prop_assert_eq!(&incremental.link_bytes, &oracle.link_bytes);
-        prop_assert_eq!(incremental.digest, oracle.digest);
+        prop_assert_eq!(&first, &second);
+        let mut expect = vec![0u64; caps.len()];
+        for &(i, _) in &first.completions {
+            for &j in &first.paths[i] {
+                expect[j] += flows[i].bytes;
+            }
+        }
+        prop_assert_eq!(&first.link_bytes, &expect);
     }
 }

@@ -251,3 +251,208 @@ fn tracer_records_lifecycle() {
     assert!(recs.iter().any(|r| r.msg.contains("spawned 'a'")));
     assert!(recs.iter().any(|r| r.msg == "finished"));
 }
+
+#[test]
+fn kill_mid_transfer_releases_link_share_at_dispatch() {
+    use simkit::{FlowNet, Sharing};
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let link = net.add_link("l", 100e6, Sharing::Fair);
+    let (n1, n2, n3) = (net.clone(), net.clone(), net.clone());
+    let victim = sim.spawn("victim", move |ctx| n1.transfer(ctx, &[link], 100_000_000));
+    let bg_done = Arc::new(AtomicU64::new(0));
+    let b2 = bg_done.clone();
+    sim.spawn("bg", move |ctx| {
+        n2.transfer(ctx, &[link], 100_000_000);
+        b2.store(ctx.now().as_nanos(), Ordering::SeqCst);
+    });
+    sim.spawn("killer", move |ctx| {
+        ctx.sleep(ms(300));
+        victim.kill();
+        // The kill only flags the victim; it unwinds when dispatched.
+        assert_eq!(n3.active_on(link), 2);
+        ctx.join(&victim);
+        assert_eq!(
+            ctx.now().as_millis(),
+            300,
+            "unwound at its dispatch instant"
+        );
+        assert_eq!(n3.active_on(link), 1, "the killed flow left the link");
+    });
+    sim.run().unwrap();
+    assert_eq!(net.active_on(link), 0);
+    assert_eq!(
+        net.bytes_completed_on(link),
+        100_000_000,
+        "only bg completed"
+    );
+    // 15 MB moved at 50 MB/s until the kill, then 85 MB alone at 100 MB/s.
+    let done = bg_done.load(Ordering::SeqCst) as f64 / 1e9;
+    assert!((done - 1.15).abs() < 1e-6, "bg finished at {done}");
+}
+
+/// Pushes its tag onto a shared log when dropped.
+struct DropLog(u32, Arc<parking_lot::Mutex<Vec<u32>>>);
+
+impl Drop for DropLog {
+    fn drop(&mut self) {
+        self.1.lock().push(self.0);
+    }
+}
+
+#[test]
+fn dropping_a_simulation_unwinds_each_proc_once_in_pid_order() {
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let log = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let never = Event::new(&h, "never");
+    let l = log.clone();
+    sim.spawn("blocked", move |ctx| {
+        let _g = DropLog(0, l);
+        ctx.sleep(secs(100));
+    });
+    let l = log.clone();
+    sim.spawn("finished", move |ctx| {
+        let _g = DropLog(1, l);
+        ctx.sleep(us(1));
+    });
+    let l = log.clone();
+    let killed = sim.spawn("killed", move |ctx| {
+        let _g = DropLog(2, l);
+        ctx.sleep(secs(100));
+    });
+    let (l, n2) = (log.clone(), never.clone());
+    sim.spawn("waiting", move |ctx| {
+        let _g = DropLog(3, l);
+        n2.wait(ctx);
+    });
+    sim.run_until(SimTime::ZERO + ms(1)).unwrap();
+    killed.kill(); // flagged, but never dispatched again before the drop
+    let g = DropLog(4, log.clone());
+    sim.spawn("unborn", move |_| drop(g));
+    assert_eq!(*log.lock(), vec![1]);
+    drop(sim);
+    assert_eq!(*log.lock(), vec![1, 0, 2, 3, 4]);
+}
+
+/// Re-run this test binary on one `isolated_*` test, alone, with `envs`
+/// set (and `SIMKIT_ISOLATED=1`, which those tests require to run).
+fn run_isolated(test: &str, envs: &[(&str, &str)]) -> std::process::Output {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact", "--include-ignored", "--test-threads=1"])
+        .arg("--nocapture")
+        .env("SIMKIT_ISOLATED", "1")
+        .envs(envs.iter().copied())
+        .output()
+        .expect("re-running the test binary");
+    assert!(
+        out.status.success(),
+        "{test} failed:\n{}\n{}",
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    out
+}
+
+fn isolated() -> bool {
+    std::env::var_os("SIMKIT_ISOLATED").is_some()
+}
+
+/// `Threads:` from `/proc/self/status`.
+fn os_threads() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap();
+    let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+    line.split_whitespace().nth(1).unwrap().parse().unwrap()
+}
+
+#[test]
+#[ignore = "run alone in a child process by a_thousand_procs_create_no_threads"]
+fn isolated_thread_count() {
+    if !isolated() {
+        return;
+    }
+    let before = os_threads();
+    let mut sim = Simulation::new(0);
+    let peak = Arc::new(AtomicU64::new(0));
+    for i in 0..1000 {
+        let peak = peak.clone();
+        sim.spawn(&format!("p{i}"), move |ctx| {
+            ctx.sleep(us(i));
+            peak.fetch_max(os_threads(), Ordering::SeqCst);
+            ctx.sleep(us(1000 - i));
+        });
+    }
+    sim.run().unwrap();
+    assert_eq!(
+        peak.load(Ordering::SeqCst),
+        before,
+        "threads during the run"
+    );
+    drop(sim);
+    assert_eq!(os_threads(), before, "threads after teardown");
+}
+
+#[test]
+fn a_thousand_procs_create_no_threads() {
+    run_isolated("isolated_thread_count", &[]);
+}
+
+#[test]
+#[ignore = "run alone in a child process by proc_panic_with_backtrace_is_reported"]
+fn isolated_panic_with_backtrace() {
+    if !isolated() {
+        return;
+    }
+    let mut sim = Simulation::new(0);
+    sim.spawn("doomed-proc", |ctx| {
+        ctx.sleep(ms(1));
+        panic!("deliberate panic with a backtrace");
+    });
+    match sim.run() {
+        Err(SimError::ProcPanic { name, message, .. }) => {
+            assert_eq!(name, "doomed-proc");
+            assert_eq!(message, "deliberate panic with a backtrace");
+        }
+        other => panic!("expected ProcPanic, got {other:?}"),
+    }
+}
+
+#[test]
+fn proc_panic_with_backtrace_is_reported() {
+    // The panic hook walks the coroutine stack; the walk must end cleanly
+    // at the coroutine base and the run must still report the panic.
+    let out = run_isolated("isolated_panic_with_backtrace", &[("RUST_BACKTRACE", "1")]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("deliberate panic with a backtrace"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("stack backtrace"), "{stderr}");
+}
+
+/// Recurse until at least `bytes` of stack lie between `top` and the
+/// deepest frame; returns the stack depth reached, in bytes.
+fn recurse_until(top: usize, bytes: usize) -> usize {
+    let buf = std::hint::black_box([1u8; 2048]);
+    let here = &buf as *const _ as usize;
+    if top - here >= bytes {
+        return top - here;
+    }
+    recurse_until(top, bytes) + usize::from(std::hint::black_box(buf)[7] - 1)
+}
+
+#[test]
+fn proc_stack_holds_400_kib_of_frames() {
+    let mut sim = Simulation::new(0);
+    let reached = Arc::new(AtomicU64::new(0));
+    let r2 = reached.clone();
+    sim.spawn("deep", move |ctx| {
+        ctx.sleep(ms(1));
+        let top = 0u8;
+        let top = &top as *const u8 as usize;
+        r2.store(recurse_until(top, 400 * 1024) as u64, Ordering::SeqCst);
+        ctx.sleep(ms(1)); // switches out and back with the deep stack unwound
+    });
+    sim.run().unwrap();
+    assert!(reached.load(Ordering::SeqCst) >= 400 * 1024);
+}
