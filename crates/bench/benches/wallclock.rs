@@ -24,7 +24,11 @@
 //!    disabled (the default) must cost < 1% of a mean event dispatch: the
 //!    disabled path is one relaxed atomic load and the argument closure is
 //!    never evaluated.
-//! 4. **Absolute regression** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
+//! 4. **Peak RSS ceiling** — the process's high-water mark (`VmHWM:`)
+//!    over all scenarios must stay under [`PEAK_RSS_CEILING_KB`]. The
+//!    bench peaks near 55 MB; FTB subscriptions that outlived their
+//!    subscribers once took it past 300 MB, and the ceiling sits between.
+//! 5. **Absolute regression** (opt-in: `BENCH_WALLCLOCK_ENFORCE_ABS=1`) —
 //!    per-scenario events/sec must stay within 10% of the baseline. Only
 //!    meaningful on the machine recorded in the baseline's `machine`
 //!    block, so CI leaves it off.
@@ -41,6 +45,9 @@ use npbsim::NpbApp;
 use simkit::{SimHandle, Simulation};
 use std::time::Instant;
 use telemetry::Json;
+
+/// Gate 4: ceiling on the bench process's peak RSS, in kB.
+const PEAK_RSS_CEILING_KB: u64 = 160_000;
 
 struct Scenario {
     name: &'static str,
@@ -247,6 +254,7 @@ fn main() {
          ({overhead_pct:.3}% of an event dispatch)"
     );
 
+    let peak_rss_kb = proc_status("VmHWM:");
     let scenarios = [&fig4, &livemig, &fleet];
     let mut doc = Json::obj().set("machine", machine());
     for s in scenarios {
@@ -260,7 +268,7 @@ fn main() {
                 .set("per_event_ns", per_event_ns)
                 .set("overhead_pct", overhead_pct),
         )
-        .set("peak_rss_kb", proc_status("VmHWM:"));
+        .set("peak_rss_kb", peak_rss_kb);
     let path = write_bench_json("wallclock", &doc, true).expect("always written");
     println!("wrote {}", path.display());
 
@@ -288,7 +296,15 @@ fn main() {
         "disabled tracing must cost < 1% of an event dispatch, got {overhead_pct:.3}%"
     );
 
-    // Gates 1 and 4: against the committed baseline.
+    // Gate 4: memory that outlives its use (an event no one can pop, a
+    // queue no one holds) shows up here first.
+    println!("peak RSS {peak_rss_kb} kB (ceiling {PEAK_RSS_CEILING_KB} kB)");
+    assert!(
+        peak_rss_kb < PEAK_RSS_CEILING_KB,
+        "peak RSS {peak_rss_kb} kB is over the {PEAK_RSS_CEILING_KB} kB ceiling"
+    );
+
+    // Gates 1 and 5: against the committed baseline.
     let base = load_baseline().expect("crates/bench/wallclock_baseline.json must be committed");
     for s in scenarios {
         let want = num_after(&base, &format!("\"{}\"", s.name), "events")

@@ -35,9 +35,19 @@ pub(crate) struct AgentState {
     pub link: Mutex<LinkState>,
     /// Sorted: forward-down order is deterministic by construction.
     pub children: Mutex<BTreeSet<NodeId>>,
+    /// Local subscriptions, in subscription order. Each lives as long as
+    /// some handle to its queue outside this list does: `subscribe` and
+    /// `deliver_local` prune the rest.
     pub subs: Mutex<Vec<(EventFilter, Queue<FtbEvent>)>>,
-    /// Events delivered to local subscribers (diagnostics).
-    pub delivered: Mutex<u64>,
+}
+
+impl AgentState {
+    /// Register a subscription, first dropping those nobody can pop.
+    pub(crate) fn subscribe(&self, filter: EventFilter, queue: Queue<FtbEvent>) {
+        let mut subs = self.subs.lock();
+        subs.retain(|(_, q)| q.is_shared());
+        subs.push((filter, queue));
+    }
 }
 
 /// Backplane tunables.
@@ -123,7 +133,6 @@ impl FtbBackplane {
             }),
             children: Mutex::new(BTreeSet::new()),
             subs: Mutex::new(Vec::new()),
-            delivered: Mutex::new(0),
         });
         let inbox = self.net.bind(node, FTB_AGENT_PORT);
         let loop_state = state.clone();
@@ -167,15 +176,6 @@ impl FtbBackplane {
     pub fn parent_of(&self, node: NodeId) -> Option<NodeId> {
         let agents = self.agents.lock();
         agents.get(&node).and_then(|a| *a.state.parent.lock())
-    }
-
-    /// Count of events delivered to local subscribers on `node`.
-    pub fn delivered_on(&self, node: NodeId) -> u64 {
-        let agents = self.agents.lock();
-        agents
-            .get(&node)
-            .map(|a| *a.state.delivered.lock())
-            .unwrap_or(0)
     }
 
     pub(crate) fn agent_state(&self, node: NodeId) -> Option<Arc<AgentState>> {
@@ -257,17 +257,19 @@ fn reattach(ctx: &Ctx, state: &Arc<AgentState>, net: &Net) -> Option<NodeId> {
     new_parent
 }
 
-fn deliver_local(state: &Arc<AgentState>, event: &FtbEvent) {
-    let subs = state.subs.lock();
-    let mut n = 0u64;
-    for (filter, q) in subs.iter() {
+/// Push `event` to every matching local subscriber, in subscription order.
+/// A queue no other handle can reach is dropped instead: nobody could pop
+/// it, and a push into it would wake no one, so pruning is unobservable.
+fn deliver_local(state: &AgentState, event: &FtbEvent) {
+    state.subs.lock().retain(|(filter, q)| {
+        if !q.is_shared() {
+            return false;
+        }
         if filter.matches(event) {
             q.push(event.clone());
-            n += 1;
         }
-    }
-    drop(subs);
-    *state.delivered.lock() += n.min(1); // count events, not fan-out
+        true
+    });
 }
 
 /// Forward an event toward the root, re-attaching and retrying within the

@@ -51,9 +51,14 @@ impl FtbClient {
     /// Subscribe to events matching `filter`; matching events land in the
     /// returned queue (delivery is node-local shared memory, as the agent
     /// and client are co-resident).
+    ///
+    /// The subscription lives as long as any clone of the returned queue.
+    /// Once the last one is dropped (the subscriber returned, or was
+    /// killed and unwound), the agent forgets the subscription and stops
+    /// delivering into it. There is no explicit unsubscribe.
     pub fn subscribe(&self, handle: &simkit::SimHandle, filter: EventFilter) -> Queue<FtbEvent> {
         let q = Queue::new(handle);
-        self.agent.subs.lock().push((filter, q.clone()));
+        self.agent.subscribe(filter, q.clone());
         q
     }
 

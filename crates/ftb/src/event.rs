@@ -3,6 +3,7 @@
 use ibfabric::NodeId;
 use std::any::Any;
 use std::fmt;
+use std::ops::Deref;
 use std::sync::Arc;
 
 /// Event severity, as in the FTB API.
@@ -20,11 +21,16 @@ pub enum Severity {
 
 /// A fault-tolerance event flowing through the backplane.
 ///
-/// `payload` is an `Arc<dyn Any>` so one published event can fan out to
-/// many subscribers without cloning protocol structs; consumers
-/// `downcast_ref` to the concrete message type of their protocol.
+/// A cheap handle over one shared [`FtbEventBody`]: fan-out to local
+/// subscribers and forwarding along the tree clone the handle (a refcount
+/// bump), never the strings or the payload. The body's fields read
+/// through `Deref`; consumers `downcast_ref` the payload to the concrete
+/// message type of their protocol.
 #[derive(Clone)]
-pub struct FtbEvent {
+pub struct FtbEvent(Arc<FtbEventBody>);
+
+/// The immutable contents of an [`FtbEvent`], shared by all its clones.
+pub struct FtbEventBody {
     /// Event namespace, e.g. `"FTB.MPI.MVAPICH2"`.
     pub space: String,
     /// Event name, e.g. `"FTB_MIGRATE"`.
@@ -34,19 +40,13 @@ pub struct FtbEvent {
     /// Node that published the event.
     pub origin: NodeId,
     /// Typed payload.
-    pub payload: Arc<dyn Any + Send + Sync>,
+    pub payload: Box<dyn Any + Send + Sync>,
 }
 
 impl FtbEvent {
     /// Build an event with an empty payload.
     pub fn simple(space: &str, name: &str, severity: Severity, origin: NodeId) -> Self {
-        FtbEvent {
-            space: space.to_string(),
-            name: name.to_string(),
-            severity,
-            origin,
-            payload: Arc::new(()),
-        }
+        Self::with_payload(space, name, severity, origin, ())
     }
 
     /// Build an event carrying `payload`.
@@ -57,13 +57,13 @@ impl FtbEvent {
         origin: NodeId,
         payload: T,
     ) -> Self {
-        FtbEvent {
+        FtbEvent(Arc::new(FtbEventBody {
             space: space.to_string(),
             name: name.to_string(),
             severity,
             origin,
-            payload: Arc::new(payload),
-        }
+            payload: Box::new(payload),
+        }))
     }
 
     /// Downcast the payload.
@@ -74,6 +74,14 @@ impl FtbEvent {
     /// Approximate wire size for transport accounting.
     pub fn wire_bytes(&self) -> u64 {
         (48 + self.space.len() + self.name.len() + 64) as u64
+    }
+}
+
+impl Deref for FtbEvent {
+    type Target = FtbEventBody;
+
+    fn deref(&self) -> &FtbEventBody {
+        &self.0
     }
 }
 

@@ -25,7 +25,7 @@ mod event;
 
 pub use agent::{FtbBackplane, FtbConfig};
 pub use client::FtbClient;
-pub use event::{EventFilter, FtbEvent, Severity};
+pub use event::{EventFilter, FtbEvent, FtbEventBody, Severity};
 
 /// UDP-style port the FTB agents listen on (one agent per node).
 pub const FTB_AGENT_PORT: u16 = 6000;

@@ -274,3 +274,62 @@ fn transient_link_flap_does_not_orphan_agents() {
     sim.run_for(secs(1)).unwrap();
     assert_eq!(q.len(), 1, "event must flow after the flap heals");
 }
+
+/// Subscriptions whose queues nobody can pop any more must not keep
+/// receiving events: a subscriber that returned and one killed while parked
+/// in `pop` leave no queue behind that holds a copy of a later event.
+#[test]
+fn departed_subscribers_keep_no_copy_of_later_events() {
+    const N: u32 = 8;
+    let mut sim = Simulation::new(0);
+    let bp = deploy(&sim);
+    let sub = FtbClient::connect(&bp, NodeId(1), "sub");
+
+    let s = sub.clone();
+    sim.spawn("returns", move |ctx| {
+        let _q = s.subscribe(&ctx.handle(), EventFilter::all());
+    });
+    let s = sub.clone();
+    let parked = sim.spawn("parked", move |ctx| {
+        let q = s.subscribe(&ctx.handle(), EventFilter::all());
+        let _ = q.pop(ctx);
+        unreachable!("killed before any event is published");
+    });
+    let got = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    let g = got.clone();
+    sim.spawn("live", move |ctx| {
+        let q = sub.subscribe(&ctx.handle(), EventFilter::all());
+        for _ in 0..N {
+            let ev = q.pop(ctx);
+            g.lock().push(ev.payload_as::<(u32, Arc<()>)>().unwrap().0);
+        }
+    });
+
+    let token = Arc::new(());
+    let t = token.clone();
+    let p = FtbClient::connect(&bp, NodeId(3), "pub");
+    sim.spawn("pub", move |ctx| {
+        ctx.sleep(ms(1));
+        parked.kill();
+        ctx.sleep(ms(1));
+        for k in 0..N {
+            p.publish(
+                ctx,
+                FtbEvent::with_payload("S", "TOKEN", Severity::Info, NodeId(3), (k, t.clone())),
+            );
+            ctx.sleep(us(100));
+        }
+    });
+    sim.run_for(secs(1)).unwrap();
+
+    assert_eq!(
+        *got.lock(),
+        (0..N).collect::<Vec<_>>(),
+        "live subscriber sees every event in order"
+    );
+    assert_eq!(
+        Arc::strong_count(&token),
+        1,
+        "an unreachable subscription queue kept a copy of an event"
+    );
+}

@@ -306,6 +306,13 @@ impl<T: Send> Queue<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Whether another handle to this queue is alive. When this is the
+    /// last handle, nothing else can ever pop or push: an owner may drop
+    /// it, since a push into it would wake no one.
+    pub fn is_shared(&self) -> bool {
+        Arc::strong_count(&self.inner) > 1
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -139,6 +139,37 @@ fn queue_killed_waiter_does_not_swallow_item() {
 }
 
 #[test]
+fn queue_is_shared_tracks_live_handles() {
+    let mut sim = Simulation::new(0);
+    let h = sim.handle();
+    let q: Queue<u32> = Queue::new(&h);
+    assert!(!q.is_shared(), "a fresh queue has one handle");
+    let c = q.clone();
+    assert!(q.is_shared() && c.is_shared(), "a clone is a holder");
+    drop(c);
+    assert!(!q.is_shared(), "dropping the clone releases it");
+
+    // A process's captured clone counts until the process is gone, whether
+    // it returns or is killed while parked in `pop`.
+    let q1 = q.clone();
+    sim.spawn("returns", move |_ctx| drop(q1));
+    let q2 = q.clone();
+    let parked = sim.spawn("parked", move |ctx| {
+        let _ = q2.pop(ctx);
+        unreachable!();
+    });
+    assert!(q.is_shared(), "unstarted processes hold their clones");
+    sim.run_for(ms(1)).unwrap();
+    assert!(q.is_shared(), "the parked process still holds its clone");
+    parked.kill();
+    sim.run_for(ms(1)).unwrap();
+    assert!(
+        !q.is_shared(),
+        "a killed process's clone is dropped on unwind"
+    );
+}
+
+#[test]
 fn semaphore_fifo_no_barging() {
     let mut sim = Simulation::new(0);
     let h = sim.handle();
