@@ -226,7 +226,18 @@ pub fn fig7_panel(app: NpbApp) -> Fig7Panel {
 /// A full CR cycle (checkpoint at t = 30 s, failure + restart once the
 /// checkpoint completes) for `app`.C.64.
 pub fn cr_cycle(app: NpbApp, store: CrStoreKind) -> jobmig_core::report::CrReport {
+    cr_cycle_observed(app, store, |_| {})
+}
+
+/// [`cr_cycle`] exposing the simulation handle before the run starts (the
+/// determinism oracle arms trace digesting through it).
+pub fn cr_cycle_observed(
+    app: NpbApp,
+    store: CrStoreKind,
+    observe: impl FnOnce(&simkit::SimHandle),
+) -> jobmig_core::report::CrReport {
     let mut sim = Simulation::new(SEED);
+    observe(&sim.handle());
     let cluster = paper_cluster(&sim);
     let wl = Workload::new(app, NpbClass::C, 64);
     let rt = JobRuntime::launch(&cluster, JobSpec::npb(wl, 8));
