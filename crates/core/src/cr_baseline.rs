@@ -10,7 +10,7 @@
 use crate::calib;
 use crate::msgs::*;
 use crate::report::{CrReport, CrStoreKind};
-use crate::runtime::{unwrap_meta, CkptCycle, JobRuntime};
+use crate::runtime::{unwrap_meta, wait_suspend_acks, CkptCycle, JobRuntime};
 use blcrsim::StoreSource;
 use ftb::{FtbClient, FtbEvent, Severity};
 use parking_lot::Mutex;
@@ -18,12 +18,6 @@ use simkit::{Countdown, Ctx, Queue};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Re-export: which storage a checkpoint targets.
-pub type CrStore = CrStoreKind;
-
-/// Convenience runner for scripted experiments (examples/benches).
-pub struct CrRunner;
 
 /// JM-side orchestration of one coordinated checkpoint.
 pub(crate) fn run_checkpoint(
@@ -66,7 +60,7 @@ pub(crate) fn run_checkpoint(
         ),
     );
     // Phase: Job Stall.
-    super_wait_acks(ctx, sub, id, inner.spec.nranks);
+    wait_suspend_acks(ctx, sub, id, inner.spec.nranks, None);
     cycle.stall_done.wait(ctx);
     ph.end();
     let t1 = ctx.now();
@@ -91,20 +85,6 @@ pub(crate) fn run_checkpoint(
         restart: None,
         bytes_written: cycle.bytes.load(Ordering::Relaxed),
     });
-}
-
-fn super_wait_acks(ctx: &Ctx, sub: &Queue<FtbEvent>, cycle: u64, n: u32) {
-    let mut seen = std::collections::HashSet::new();
-    while seen.len() < n as usize {
-        let ev = sub.pop(ctx);
-        if ev.name == FTB_SUSPEND_ACK {
-            if let Some(a) = ev.payload_as::<SuspendAckMsg>() {
-                if a.cycle == cycle {
-                    seen.insert(a.rank);
-                }
-            }
-        }
-    }
 }
 
 /// JM-side restart from checkpoint `cycle_id`: simulates the failure path

@@ -54,7 +54,6 @@ pub mod prelude {
         PoolConfig, RestartMode, TransferSession, TransferSessionBuilder, Transport,
     };
     pub use crate::cluster::{Cluster, ClusterSpec};
-    pub use crate::cr_baseline::{CrRunner, CrStore};
     pub use crate::report::{
         CrReport, CrStoreKind, MigrationOutcome, MigrationReport, OutcomeCounts,
     };

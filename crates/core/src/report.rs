@@ -126,6 +126,34 @@ pub struct MigrationReport {
 }
 
 impl MigrationReport {
+    /// A report with every phase duration zero and nothing moved: the
+    /// base a finished trigger's report is built on, and the whole report
+    /// of one that ended without the coordinator's phase clocks (CR
+    /// fallback, standby recovery).
+    pub(crate) fn unclocked(
+        cycle: u64,
+        source: NodeId,
+        target: NodeId,
+        outcome: MigrationOutcome,
+        attempts: u32,
+    ) -> MigrationReport {
+        MigrationReport {
+            cycle,
+            source,
+            target,
+            precopy: Duration::ZERO,
+            precopy_rounds: 0,
+            stall: Duration::ZERO,
+            migrate: Duration::ZERO,
+            restart: Duration::ZERO,
+            resume: Duration::ZERO,
+            ranks_moved: 0,
+            bytes_moved: 0,
+            outcome,
+            attempts,
+        }
+    }
+
     /// Barrier-held duration: the four phases the job spends suspended.
     /// Pre-copy rounds run while the application computes and are not
     /// included — compare [`MigrationReport::wall`].

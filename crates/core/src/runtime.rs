@@ -20,7 +20,7 @@
 
 use crate::bufpool::{
     AssembledImage, PoolConfig, PoolRendezvous, RestartMode, SourcePool, TargetHooks,
-    TransferSession, Transport,
+    TransferSession,
 };
 use crate::calib;
 use crate::cluster::Cluster;
@@ -40,7 +40,7 @@ use protoverify::{
     nla_next, rank_next, CycleEvent, CycleStepper, GuardCtx, MigrationSpec, NlaEvent, RankEvent,
     RankLife, StepError,
 };
-use simkit::{Countdown, Ctx, Event, ProcHandle, Queue, Semaphore, SimTime};
+use simkit::{Countdown, Ctx, Event, ProcHandle, Queue, Semaphore, SimTime, Span};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -180,73 +180,27 @@ impl MigrationTuning {
         self.pool.live = cfg;
         self
     }
-
-    /// Set the parallel RDMA pull lane count.
-    pub fn lanes(mut self, lanes: u32) -> Self {
-        self.pool.lanes = lanes.max(1);
-        self
-    }
-
-    /// Toggle per-rank restart overlap.
-    pub fn overlap(mut self, on: bool) -> Self {
-        self.pool.overlap = on;
-        self
-    }
-
-    /// Bound concurrent restarts in overlap mode (0 = unbounded).
-    pub fn restart_admission(mut self, n: u32) -> Self {
-        self.pool.restart_admission = n;
-        self
-    }
-
-    /// Set the chunk wire transport.
-    pub fn transport(mut self, t: Transport) -> Self {
-        self.pool.transport = t;
-        self
-    }
-
-    /// Set the Phase 3 restart strategy.
-    pub fn restart_mode(mut self, m: RestartMode) -> Self {
-        self.pool.restart_mode = m;
-        self
-    }
-
-    /// Replace the whole pool geometry.
-    pub fn pool(mut self, p: PoolConfig) -> Self {
-        self.pool = p;
-        self
-    }
-
-    /// Replace the self-healing policy.
-    pub fn recovery(mut self, r: calib::RecoveryConfig) -> Self {
-        self.recovery = r;
-        self
-    }
 }
 
 /// A typed migration request — the paper's user-level Migration Trigger
 /// with per-request knobs.
 ///
 /// Defaults mirror the launched [`JobSpec`]: source auto-selected (first
-/// migration-ready node hosting ranks), transport/restart-mode/pool
-/// geometry taken from [`JobSpec::pool`]. Builder methods override any of
+/// migration-ready node hosting ranks), tuning taken from
+/// [`JobSpec::pool`] / [`JobSpec::recovery`]. Builder methods override
 /// them for this one cycle without touching the job-wide configuration.
 ///
 /// ```ignore
 /// rt.control().migrate(
 ///     MigrationRequest::new()
 ///         .from_node(NodeId(3))
-///         .transport(Transport::RdmaRead)
-///         .restart_mode(RestartMode::MemoryBased),
+///         .tuning(MigrationTuning::pipelined()),
 /// );
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct MigrationRequest {
     pub(crate) source: Option<NodeId>,
-    pub(crate) transport: Option<Transport>,
-    pub(crate) restart_mode: Option<RestartMode>,
-    pub(crate) pool: Option<PoolConfig>,
-    pub(crate) recovery: Option<calib::RecoveryConfig>,
+    pub(crate) tuning: Option<MigrationTuning>,
     pub(crate) label: Option<String>,
 }
 
@@ -263,29 +217,10 @@ impl MigrationRequest {
         self
     }
 
-    /// Override the chunk wire transport for this cycle.
-    pub fn transport(mut self, t: Transport) -> Self {
-        self.transport = Some(t);
-        self
-    }
-
-    /// Override the Phase 3 restart strategy for this cycle.
-    pub fn restart_mode(mut self, m: RestartMode) -> Self {
-        self.restart_mode = Some(m);
-        self
-    }
-
-    /// Override the whole buffer-pool geometry for this cycle.
-    pub fn pool(mut self, p: PoolConfig) -> Self {
-        self.pool = Some(p);
-        self
-    }
-
     /// Override every migration tunable at once (pool geometry, data-path
     /// options, and the self-healing policy) for this cycle.
     pub fn tuning(mut self, t: MigrationTuning) -> Self {
-        self.pool = Some(t.pool);
-        self.recovery = Some(t.recovery);
+        self.tuning = Some(t);
         self
     }
 
@@ -296,21 +231,12 @@ impl MigrationRequest {
         self
     }
 
-    /// The pool configuration this request resolves to on top of `base`.
-    pub(crate) fn effective_pool(&self, base: PoolConfig) -> PoolConfig {
-        let mut p = self.pool.unwrap_or(base);
-        if let Some(t) = self.transport {
-            p.transport = t;
-        }
-        if let Some(m) = self.restart_mode {
-            p.restart_mode = m;
-        }
-        p
-    }
-
-    /// The self-healing policy this request resolves to on top of `base`.
-    pub(crate) fn effective_recovery(&self, base: calib::RecoveryConfig) -> calib::RecoveryConfig {
-        self.recovery.unwrap_or(base)
+    /// The tuning this request resolves to for a job launched with `spec`.
+    fn tuning_for(&self, spec: &JobSpec) -> MigrationTuning {
+        self.tuning.unwrap_or(MigrationTuning {
+            pool: spec.pool,
+            recovery: spec.recovery,
+        })
     }
 }
 
@@ -490,6 +416,50 @@ struct CycleGate {
 }
 
 impl MigCycle {
+    /// Register a fresh cycle `id` moving `ranks` from `source` to
+    /// `target` (live pre-copy state only when `live` is set).
+    fn start(
+        rt: &JobRuntime,
+        id: u64,
+        source: NodeId,
+        target: NodeId,
+        ranks: &[u32],
+        pool: PoolConfig,
+        live: Option<livemig::LiveConfig>,
+    ) -> Arc<MigCycle> {
+        let handle = rt.inner.cluster.handle();
+        let n = rt.inner.spec.nranks as u64;
+        let cycle = Arc::new(MigCycle {
+            id,
+            source,
+            target,
+            ranks: ranks.to_vec(),
+            pool,
+            stall_done: Countdown::new(handle, "mig-stall", n),
+            rendezvous: PoolRendezvous::new(handle),
+            source_pool: Mutex::new(None),
+            source_pool_ready: Event::new(handle, "srcpool"),
+            piic: Event::new(handle, "piic"),
+            piic_bytes: Mutex::new(0),
+            images: Mutex::new(HashMap::new()),
+            images_ready: Event::new(handle, "images-ready"),
+            rank_ready: ranks
+                .iter()
+                .map(|&r| (r, Event::new(handle, "image-ready")))
+                .collect(),
+            restart_done: Event::new(handle, "restart-done"),
+            barrier: Countdown::new(handle, "mig-barrier", n),
+            resumed: Countdown::new(handle, "mig-resumed", n),
+            gate: Mutex::new(CycleGate::default()),
+            captured_meta: Mutex::new(HashMap::new()),
+            procs: Mutex::new(Vec::new()),
+            restart_claim: Mutex::new(false),
+            live: live.map(LiveState::new),
+        });
+        rt.inner.mig_cycles.lock().insert(id, cycle.clone());
+        cycle
+    }
+
     fn set_source_pool(&self, p: Arc<SourcePool>) {
         *self.source_pool.lock() = Some(p);
         self.source_pool_ready.set();
@@ -1278,61 +1248,29 @@ fn jm_proc(ctx: &Ctx, rt: JobRuntime) {
     }
 }
 
-/// Pop events from `sub` until one matches `name` and its cycle id, or
-/// the virtual-time `deadline` passes (other traffic — acks from old
-/// cycles, suspend acks — is skipped). Returns `false` on timeout.
-fn wait_named_until(
+/// Pop events from `sub` until `want` accepts one, or the virtual-time
+/// `deadline` passes (`None`: wait for as long as it takes, arming no
+/// timer). Everything else — acks of old cycles or rounds, unrelated
+/// broadcasts — is skipped.
+fn pop_until<T>(
     ctx: &Ctx,
     sub: &Queue<FtbEvent>,
-    name: &str,
-    cycle: u64,
-    deadline: SimTime,
-) -> bool {
+    deadline: Option<SimTime>,
+    mut want: impl FnMut(&FtbEvent) -> Option<T>,
+) -> Option<T> {
     loop {
-        let now = ctx.now();
-        if now >= deadline {
-            return false;
-        }
-        let Some(ev) = sub.pop_timeout(ctx, deadline - now) else {
-            return false;
-        };
-        if ev.name != name {
-            continue;
-        }
-        let matches = match ev.name.as_str() {
-            FTB_MIGRATE_PIIC => ev.payload_as::<PiicMsg>().map(|m| m.cycle == cycle),
-            FTB_RESTART_DONE => ev.payload_as::<RestartMsg>().map(|m| m.cycle == cycle),
-            _ => Some(true),
-        };
-        if matches == Some(true) {
-            return true;
-        }
-    }
-}
-
-/// Pop events from `sub` until the `FTB_PRECOPY_DONE` for this cycle and
-/// round arrives, or the deadline passes (`None`). Acks from abandoned
-/// rounds of the same cycle are skipped by the round match.
-fn wait_precopy_done_until(
-    ctx: &Ctx,
-    sub: &Queue<FtbEvent>,
-    cycle: u64,
-    round: u32,
-    deadline: SimTime,
-) -> Option<PrecopyDoneMsg> {
-    loop {
-        let now = ctx.now();
-        if now >= deadline {
-            return None;
-        }
-        let ev = sub.pop_timeout(ctx, deadline - now)?;
-        if ev.name != FTB_PRECOPY_DONE {
-            continue;
-        }
-        if let Some(m) = ev.payload_as::<PrecopyDoneMsg>() {
-            if m.cycle == cycle && m.round == round {
-                return Some(*m);
+        let ev = match deadline {
+            None => sub.pop(ctx),
+            Some(d) => {
+                let now = ctx.now();
+                if now >= d {
+                    return None;
+                }
+                sub.pop_timeout(ctx, d - now)?
             }
+        };
+        if let Some(hit) = want(&ev) {
+            return Some(hit);
         }
     }
 }
@@ -1340,31 +1278,39 @@ fn wait_precopy_done_until(
 /// Count `FTB_SUSPEND_ACK`s for `cycle` until all `n` ranks have
 /// acknowledged — the Phase 1 fan-in the paper's Job Stall time measures.
 /// Returns `false` if the deadline passes first.
-fn wait_suspend_acks_until(
+pub(crate) fn wait_suspend_acks(
     ctx: &Ctx,
     sub: &Queue<FtbEvent>,
     cycle: u64,
     n: u32,
-    deadline: SimTime,
+    deadline: Option<SimTime>,
 ) -> bool {
     let mut seen = HashSet::new();
-    while seen.len() < n as usize {
-        let now = ctx.now();
-        if now >= deadline {
-            return false;
-        }
-        let Some(ev) = sub.pop_timeout(ctx, deadline - now) else {
-            return false;
+    let all = |seen: &HashSet<u32>| seen.len() >= n as usize;
+    all(&seen)
+        || pop_until(ctx, sub, deadline, |ev| {
+            let a = ev
+                .payload_as::<SuspendAckMsg>()
+                .filter(|a| ev.name == FTB_SUSPEND_ACK && a.cycle == cycle)?;
+            seen.insert(a.rank);
+            all(&seen).then_some(())
+        })
+        .is_some()
+}
+
+/// Wait until `deadline` for the `name` ack (`FTB_MIGRATE_PIIC` or
+/// `FTB_RESTART_DONE`) of `cycle`.
+fn wait_ack(ctx: &Ctx, sub: &Queue<FtbEvent>, name: &str, cycle: u64, deadline: SimTime) -> bool {
+    pop_until(ctx, sub, Some(deadline), |ev| {
+        let of = match ev.name.as_str() {
+            n if n != name => None,
+            FTB_MIGRATE_PIIC => ev.payload_as::<PiicMsg>().map(|m| m.cycle),
+            FTB_RESTART_DONE => ev.payload_as::<RestartMsg>().map(|m| m.cycle),
+            _ => None,
         };
-        if ev.name == FTB_SUSPEND_ACK {
-            if let Some(a) = ev.payload_as::<SuspendAckMsg>() {
-                if a.cycle == cycle {
-                    seen.insert(a.rank);
-                }
-            }
-        }
-    }
-    true
+        (of == Some(cycle)).then_some(())
+    })
+    .is_some()
 }
 
 /// Wait for `ev` with a virtual-time deadline.
@@ -1388,11 +1334,17 @@ fn wait_countdown_until(ctx: &Ctx, cd: &Countdown, deadline: SimTime) -> bool {
     cd.wait_timeout(ctx, deadline - now)
 }
 
-fn record_outcome(ctx: &Ctx, rt: &JobRuntime, outcome: MigrationOutcome) {
-    rt.inner.outcomes.lock().record(outcome);
+/// Account a finished migration trigger: outcome counter, report, and
+/// pending-source cleanup.
+fn settle_report(ctx: &Ctx, rt: &JobRuntime, report: MigrationReport) {
+    let inner = &rt.inner;
+    let outcome = report.outcome;
+    inner.outcomes.lock().record(outcome);
     ctx.instant_with("log", "migration_outcome", || {
         vec![("outcome", outcome.name().into())]
     });
+    inner.pending_sources.lock().remove(&report.source);
+    inner.mig_reports.lock().push(report);
 }
 
 fn run_migration(
@@ -1447,7 +1399,8 @@ fn run_migration(
     // attempt starts by stepping `Trigger`/`Retry` (whose `RetryPath`
     // guard owns the "spare available AND budget left" decision), and the
     // degrade path below is reached exactly when that guard rejects.
-    let rec = req.effective_recovery(inner.spec.recovery);
+    let tuning = req.tuning_for(&inner.spec);
+    let rec = tuning.recovery;
     let plane = inner.cluster.fault_plane();
     if let Some(p) = &plane {
         // The plane may have been installed after launch; (re)arm the
@@ -1457,20 +1410,16 @@ fn run_migration(
     let spec = MigrationSpec::shipped();
     let mut stepper = CycleStepper::new(&spec);
     let mut attempt = 0u32;
-    // Live pre-copy applies to the first attempt only: a retry's target
-    // died with everything pre-copied onto it, and re-running rounds
-    // against the retry budget would stretch an already-failing cycle —
-    // retries go straight to the classic stop-and-copy path.
-    let live_requested = req.effective_pool(inner.spec.pool).live.is_some();
     loop {
-        let begin = if attempt == 0 {
-            if live_requested {
-                CycleEvent::LiveTrigger
-            } else {
-                CycleEvent::Trigger
-            }
-        } else {
-            CycleEvent::Retry
+        // Live pre-copy applies to the first attempt only: a retry's
+        // target died with everything pre-copied onto it, and re-running
+        // rounds against the retry budget would stretch an
+        // already-failing cycle — retries go straight to the classic
+        // stop-and-copy path.
+        let begin = match (attempt, tuning.pool.live) {
+            (0, Some(_)) => CycleEvent::LiveTrigger,
+            (0, None) => CycleEvent::Trigger,
+            _ => CycleEvent::Retry,
         };
         let epoch = inner.epoch.load(Ordering::Relaxed);
         // Lease before stepping: with several jobs migrating concurrently
@@ -1527,57 +1476,37 @@ fn run_migration(
             epoch,
         });
         ctx.check_killed();
-        match run_attempt(
+        let live = tuning.pool.live.filter(|_| attempt == 1);
+        let mut a = Attempt {
             ctx,
             rt,
             ftb,
             sub,
-            &req,
-            id,
-            source,
-            &ranks,
-            target,
+            cycle: MigCycle::start(rt, id, source, target, &ranks, tuning.pool, live),
+            stepper: &mut stepper,
+            rec,
+            plane: plane.as_ref(),
             attempt,
-            plane.as_ref(),
-            &rec,
-            &mut stepper,
-        ) {
-            Ok(times) => {
-                inner.journal.append(WalRecord::LeaseCommit {
-                    cycle: id,
-                    node: target,
-                    epoch,
-                });
-                ctx.check_killed();
-                inner.pool.consume_at(target, inner.job_id, epoch);
-                let outcome = if attempt == 1 {
-                    MigrationOutcome::Migrated
-                } else {
-                    MigrationOutcome::MigratedAfterRetry
-                };
-                record_outcome(ctx, rt, outcome);
-                inner.mig_reports.lock().push(MigrationReport {
-                    cycle: times.cycle,
-                    source,
-                    target,
-                    precopy: times.precopy,
-                    precopy_rounds: times.precopy_rounds,
-                    stall: times.stall,
-                    migrate: times.migrate,
-                    restart: times.restart,
-                    resume: times.resume,
-                    ranks_moved: ranks.len(),
-                    bytes_moved: times.bytes,
-                    outcome,
-                    attempts: attempt,
-                });
-                inner.pending_sources.lock().remove(&source);
-                inner.journal.append(WalRecord::CycleEnd { cycle: id });
-                ctx.check_killed();
-                return;
-            }
-            Err(()) => continue,
-        }
+            epoch,
+            label: req.label.as_deref(),
+            tree_adjusted: false,
+            restart_span: None,
+            span: None,
+        };
+        let Ok(report) = a.run() else {
+            continue;
+        };
+        inner.journal.append(WalRecord::LeaseCommit {
+            cycle: id,
+            node: target,
+            epoch,
+        });
+        ctx.check_killed();
+        inner.pool.consume_at(target, inner.job_id, epoch);
+        settle_report(ctx, rt, report);
+        inner.journal.append(WalRecord::CycleEnd { cycle: id });
+        ctx.check_killed();
+        return;
     }
 
     // Degraded path: no spare (or every attempt failed). Checkpoint the
@@ -1601,178 +1530,298 @@ fn run_migration(
         ]
     });
     cr_baseline::run_checkpoint(ctx, rt, ftb, sub, store);
-    record_outcome(ctx, rt, MigrationOutcome::FellBackToCr);
     let cr_cycle = inner.cr_reports.lock().last().map(|r| r.cycle).unwrap_or(0);
-    inner.mig_reports.lock().push(MigrationReport {
-        cycle: cr_cycle,
+    // Nothing moved: the report's target is the source.
+    let report = MigrationReport::unclocked(
+        cr_cycle,
         source,
-        target: source, // nothing moved
-        precopy: Duration::ZERO,
-        precopy_rounds: 0,
-        stall: Duration::ZERO,
-        migrate: Duration::ZERO,
-        restart: Duration::ZERO,
-        resume: Duration::ZERO,
-        ranks_moved: 0,
-        bytes_moved: 0,
-        outcome: MigrationOutcome::FellBackToCr,
-        attempts: attempt,
-    });
-    inner.pending_sources.lock().remove(&source);
+        source,
+        MigrationOutcome::FellBackToCr,
+        attempt,
+    );
+    settle_report(ctx, rt, report);
 }
 
-/// Phase durations of one successful attempt.
-struct AttemptTimes {
-    cycle: u64,
-    precopy: Duration,
-    precopy_rounds: u32,
-    stall: Duration,
-    migrate: Duration,
-    restart: Duration,
-    resume: Duration,
-    bytes: u64,
-}
+/// Every in-attempt cycle-table row (phase completions, fault effects)
+/// carries `Guard::Always`, so the guard context contents are irrelevant.
+const ALWAYS: GuardCtx = GuardCtx {
+    spares_left: 0,
+    attempts_left: 0,
+};
 
-/// One migration attempt: the four-phase protocol of §III-A under
-/// per-phase virtual-time deadlines, plus scheduled spare-crash checks.
-/// On any failure the cycle is aborted (ranks rolled back to the source
-/// and resumed) and `Err` is returned; a surviving spare goes back to the
-/// front of the pool.
-#[allow(clippy::too_many_arguments)]
-fn run_attempt(
-    ctx: &Ctx,
-    rt: &JobRuntime,
-    ftb: &FtbClient,
-    sub: &Queue<FtbEvent>,
-    req: &MigrationRequest,
-    id: u64,
-    source: NodeId,
-    ranks: &[u32],
-    target: NodeId,
+/// One migration attempt in flight: what the protocol phases share. The
+/// four phases of §III-A are one pattern — a control broadcast followed
+/// by a deadline-bounded wait — written once as [`Attempt::phase`].
+struct Attempt<'a, 's> {
+    ctx: &'a Ctx,
+    rt: &'a JobRuntime,
+    ftb: &'a FtbClient,
+    sub: &'a Queue<FtbEvent>,
+    cycle: Arc<MigCycle>,
+    stepper: &'a mut CycleStepper<'s>,
+    /// Per-phase deadlines.
+    rec: calib::RecoveryConfig,
+    plane: Option<&'a FaultPlane>,
     attempt: u32,
-    plane: Option<&FaultPlane>,
-    rec: &calib::RecoveryConfig,
-    stepper: &mut CycleStepper<'_>,
-) -> Result<AttemptTimes, ()> {
-    let inner = &rt.inner;
-    let epoch = inner.epoch.load(Ordering::Relaxed);
-    let handle = inner.cluster.handle();
-    let n = inner.spec.nranks as u64;
-    let pool = req.effective_pool(inner.spec.pool);
-    let live = pool.live.filter(|_| attempt == 1).map(LiveState::new);
-    let cycle = Arc::new(MigCycle {
-        id,
-        source,
-        target,
-        ranks: ranks.to_vec(),
-        pool,
-        stall_done: Countdown::new(handle, "mig-stall", n),
-        rendezvous: PoolRendezvous::new(handle),
-        source_pool: Mutex::new(None),
-        source_pool_ready: Event::new(handle, "srcpool"),
-        piic: Event::new(handle, "piic"),
-        piic_bytes: Mutex::new(0),
-        images: Mutex::new(HashMap::new()),
-        images_ready: Event::new(handle, "images-ready"),
-        rank_ready: ranks
-            .iter()
-            .map(|&r| (r, Event::new(handle, "image-ready")))
-            .collect(),
-        restart_done: Event::new(handle, "restart-done"),
-        barrier: Countdown::new(handle, "mig-barrier", n),
-        resumed: Countdown::new(handle, "mig-resumed", n),
-        gate: Mutex::new(CycleGate::default()),
-        captured_meta: Mutex::new(HashMap::new()),
-        procs: Mutex::new(Vec::new()),
-        restart_claim: Mutex::new(false),
-        live,
-    });
-    inner.mig_cycles.lock().insert(id, cycle.clone());
+    epoch: u64,
+    label: Option<&'a str>,
+    /// The spawn tree points at the target: an abort must point it back.
+    tree_adjusted: bool,
+    /// The pipelined path's restart span, opened inside Phase 2 and
+    /// closed by Phase 3. Declared before `span` so that an unwind closes
+    /// it first.
+    restart_span: Option<Span>,
+    /// The current phase's span.
+    span: Option<Span>,
+}
 
-    let crash = |phase: MigPhase| {
-        plane
-            .map(|p| p.take_spare_crash(phase, attempt))
-            .unwrap_or(false)
-    };
-    let mut tree_adjusted = false;
-    // Every in-attempt row (phase completions, fault effects) carries
-    // `Guard::Always`, so the guard context contents are irrelevant here.
-    let always = GuardCtx {
-        spares_left: 0,
-        attempts_left: 0,
-    };
-
-    // Abort this attempt: `$event` is the cycle-table fault effect
-    // ([`CycleEvent::PhaseTimeout`] or [`CycleEvent::SpareCrash`]) and
-    // `$spare_alive` decides whether the lease settles as a return to
-    // the pool's front (retry reuses it) or a discard (the spare died).
-    macro_rules! fail {
-        ($event:expr, $reason:expr, $spare_alive:expr) => {{
-            inner.journal.append(WalRecord::Rollback { cycle: id });
-            ctx.check_killed();
-            let _ = proto_step(ctx, stepper, $event, &always);
-            abort_cycle(ctx, rt, &cycle, $reason, tree_adjusted);
-            if $spare_alive {
-                inner.pool.release_front_at(target, inner.job_id, epoch);
-            } else {
-                inner.pool.discard_at(target, inner.job_id, epoch);
-            }
-            inner.journal.append(WalRecord::CycleEnd { cycle: id });
-            ctx.check_killed();
-            return Err(());
-        }};
-    }
-
-    // Each protocol phase is wrapped in a `"phase"` span carrying the
-    // cycle id, so the Figure 4 decomposition can be rebuilt from the
-    // trace alone (`telemetry::Timeline`).
-    let phase_args = |req: &MigrationRequest| {
-        let label = req.label.clone();
-        move || {
+impl Attempt<'_, '_> {
+    /// Open a `"phase"` span carrying the cycle id, so the Figure 4
+    /// decomposition can be rebuilt from the trace alone
+    /// (`telemetry::Timeline`).
+    fn open_span(&self, name: &'static str) -> Span {
+        let c = &self.cycle;
+        let (id, source, target, attempt) = (c.id, c.source, c.target, self.attempt);
+        self.ctx.span_with("phase", name, || {
             let mut a: simkit::Args = vec![
                 ("cycle", id.into()),
                 ("source", source.0.into()),
                 ("target", target.0.into()),
                 ("attempt", attempt.into()),
             ];
-            if let Some(l) = &label {
-                a.push(("label", l.as_str().into()));
+            if let Some(l) = self.label {
+                a.push(("label", l.into()));
             }
             a
-        }
-    };
+        })
+    }
 
-    // Phase 0 — iterative pre-copy (live cycles only). The ranks keep
-    // running throughout: nothing here holds the barrier, so a failed or
-    // diverging round costs only the bytes already streamed — the cycle
-    // degrades to the classic stop-and-copy phases below instead of
-    // aborting. Only the spare dying aborts from here (there is nothing
-    // to roll back: no rank ever suspended).
-    let pre0 = ctx.now();
-    if let Some(live) = &cycle.live {
-        if crash(MigPhase::Precopy) {
-            kill_spare(ctx, rt, target);
-            fail!(CycleEvent::SpareCrash, "spare_crash", false);
+    /// The entry half of a phase: abort if the spare dies here (a
+    /// scheduled spare crash), else put the phase entry on record before
+    /// any of its effects. A coordinator crash scheduled at the append
+    /// unwinds this proc on the spot.
+    fn enter_phase(&mut self, phase: MigPhase) -> Result<(), ()> {
+        if self
+            .plane
+            .is_some_and(|p| p.take_spare_crash(phase, self.attempt))
+        {
+            kill_spare(self.ctx, self.rt, self.cycle.target);
+            return Err(self.abort(CycleEvent::SpareCrash, "spare_crash", false));
         }
-        inner.journal.append(WalRecord::PhaseEnter {
-            cycle: id,
-            phase: MigPhase::Precopy,
+        self.rt.inner.journal.append(WalRecord::PhaseEnter {
+            cycle: self.cycle.id,
+            phase,
         });
-        ctx.check_killed();
-        let ph = ctx.span_with("phase", "precopy", phase_args(req));
+        self.ctx.check_killed();
+        Ok(())
+    }
+
+    /// One protocol phase: enter it, run its effect and wait — `run`,
+    /// handed the phase deadline — inside the phase's span, then step the
+    /// cycle table, or abort the attempt if the deadline passed. Returns
+    /// the phase's duration.
+    fn phase(
+        &mut self,
+        phase: MigPhase,
+        run: impl FnOnce(&mut Self, SimTime) -> bool,
+    ) -> Result<Duration, ()> {
+        let (timeout, done) = match phase {
+            MigPhase::Stall => (self.rec.stall_timeout, CycleEvent::StallDone),
+            MigPhase::Migrate => (self.rec.migrate_timeout, CycleEvent::MigrateDone),
+            MigPhase::Restart => (self.rec.restart_timeout, CycleEvent::RestartDone),
+            MigPhase::Resume | MigPhase::Precopy => {
+                (self.rec.resume_timeout, CycleEvent::ResumeDone)
+            }
+        };
+        self.enter_phase(phase)?;
+        let t0 = self.ctx.now();
+        let opened = match phase {
+            MigPhase::Restart => self.restart_span.take(),
+            _ => None,
+        };
+        self.span = Some(opened.unwrap_or_else(|| self.open_span(phase.name())));
+        let ok = run(self, t0 + timeout);
+        if let Some(span) = self.span.take() {
+            span.end();
+        }
+        if !ok {
+            let reason = format!("{}_timeout", phase.name());
+            return Err(self.abort(CycleEvent::PhaseTimeout, &reason, true));
+        }
+        let _ = proto_step(self.ctx, self.stepper, done, &ALWAYS);
+        Ok(self.ctx.now() - t0)
+    }
+
+    /// The abort half of a phase: journal the rollback, step the fault
+    /// effect (`event` is [`CycleEvent::PhaseTimeout`] or
+    /// [`CycleEvent::SpareCrash`]), roll the ranks back to the source, and
+    /// settle the lease — back to the pool's front if the spare survived
+    /// (a retry reuses it), discarded if it died.
+    fn abort(&mut self, event: CycleEvent, reason: &str, spare_alive: bool) {
+        let inner = &self.rt.inner;
+        let (id, target) = (self.cycle.id, self.cycle.target);
+        inner.journal.append(WalRecord::Rollback { cycle: id });
+        self.ctx.check_killed();
+        let _ = proto_step(self.ctx, self.stepper, event, &ALWAYS);
+        abort_cycle(self.ctx, self.rt, &self.cycle, reason, self.tree_adjusted);
+        if spare_alive {
+            inner
+                .pool
+                .release_front_at(target, inner.job_id, self.epoch);
+        } else {
+            inner.pool.discard_at(target, inner.job_id, self.epoch);
+        }
+        inner.journal.append(WalRecord::CycleEnd { cycle: id });
+        self.ctx.check_killed();
+        if let Some(span) = self.restart_span.take() {
+            span.end();
+        }
+    }
+
+    /// Rewire the spawn tree and broadcast the restart; with `open_span`
+    /// the restart span opens right before the broadcast.
+    fn restart(&mut self, open_span: bool) {
+        let mut span = None;
+        restart_broadcast(
+            self.ctx,
+            self.rt,
+            self.ftb,
+            &self.cycle,
+            self.epoch,
+            true,
+            || {
+                if open_span {
+                    span = Some(self.open_span("restart"));
+                }
+            },
+        );
+        self.tree_adjusted = true;
+        self.restart_span = span;
+    }
+
+    /// The four-phase protocol of §III-A under per-phase virtual-time
+    /// deadlines, after the pre-copy rounds of a live cycle. On any
+    /// failure the cycle is aborted (ranks rolled back to the source and
+    /// resumed) and `Err` is returned.
+    fn run(&mut self) -> Result<MigrationReport, ()> {
+        let pre0 = self.ctx.now();
+        if self.cycle.live.is_some() {
+            self.precopy()?;
+        }
+        let precopy = self.ctx.now() - pre0;
+        let overlap = self.cycle.pool.overlap;
+
+        // Phase 1 — Job Stall.
+        let stall = self.phase(MigPhase::Stall, |a, deadline| {
+            let c = &a.cycle;
+            a.ftb.publish(
+                a.ctx,
+                FtbEvent::with_payload(
+                    MPI_SPACE,
+                    FTB_MIGRATE,
+                    Severity::Error,
+                    a.rt.inner.cluster.login(),
+                    MigrateMsg {
+                        source: c.source,
+                        target: c.target,
+                        cycle: c.id,
+                        epoch: a.epoch,
+                    },
+                ),
+            );
+            let n = a.rt.inner.spec.nranks;
+            wait_suspend_acks(a.ctx, a.sub, c.id, n, Some(deadline))
+                && wait_countdown_until(a.ctx, &c.stall_done, deadline)
+        })?;
+
+        // Phase 2 — Job Migration. On the pipelined data path Phase 3 is
+        // kicked off *now*, overlapping the pull — the spawn tree is
+        // adjusted and FTB_RESTART goes out while chunks are still
+        // streaming, and the target's restart workers start per rank on
+        // its `image_ready` event. The cycle-table event order
+        // (MigrateDone before RestartDone) is unchanged: PIIC still closes
+        // Phase 2, and Phase 3's *tail* beyond that point is what the
+        // report attributes to restart. The overlapping `"phase"` spans
+        // are rendered by `telemetry::Timeline` (sum vs wall).
+        let migrate = self.phase(MigPhase::Migrate, |a, deadline| {
+            if overlap {
+                a.restart(true);
+            }
+            wait_ack(a.ctx, a.sub, FTB_MIGRATE_PIIC, a.cycle.id, deadline)
+                && wait_event_until(a.ctx, &a.cycle.piic, deadline)
+        })?;
+
+        // Phase 3 — Restart on the spare (already underway in overlap
+        // mode). The deadline runs from Phase 3's protocol start: in
+        // overlap mode the work began earlier, so it only bounds the tail
+        // that remains once the pull has drained.
+        let restart = self.phase(MigPhase::Restart, |a, deadline| {
+            if !overlap {
+                a.restart(false);
+            }
+            wait_ack(a.ctx, a.sub, FTB_RESTART_DONE, a.cycle.id, deadline)
+                && wait_event_until(a.ctx, &a.cycle.restart_done, deadline)
+        })?;
+        // The commit point: every rank restarted on the target — from here
+        // the target is authoritative and recovery must roll forward.
+        let inner = &self.rt.inner;
+        inner.journal.append(WalRecord::CommitPoint {
+            cycle: self.cycle.id,
+        });
+        self.ctx.check_killed();
+
+        // Phase 4 — Resume.
+        let resume = self.phase(MigPhase::Resume, |a, deadline| {
+            wait_countdown_until(a.ctx, &a.cycle.resumed, deadline)
+        })?;
+
+        let c = &self.cycle;
+        let live = c.live.as_ref();
+        let outcome = if self.attempt == 1 {
+            MigrationOutcome::Migrated
+        } else {
+            MigrationOutcome::MigratedAfterRetry
+        };
+        Ok(MigrationReport {
+            precopy,
+            precopy_rounds: live.map_or(0, |l| l.rounds.load(Ordering::Relaxed)),
+            stall,
+            migrate,
+            restart,
+            resume,
+            ranks_moved: c.ranks.len(),
+            bytes_moved: *c.piic_bytes.lock()
+                + live.map_or(0, |l| l.precopied.load(Ordering::Relaxed)),
+            ..MigrationReport::unclocked(c.id, c.source, c.target, outcome, self.attempt)
+        })
+    }
+
+    /// Phase 0 — iterative pre-copy (live cycles only). The ranks keep
+    /// running throughout: nothing here holds the barrier, so a failed or
+    /// diverging round costs only the bytes already streamed — the cycle
+    /// degrades to the classic stop-and-copy phases instead of aborting.
+    /// Only the spare dying aborts from here (there is nothing to roll
+    /// back: no rank ever suspended).
+    fn precopy(&mut self) -> Result<(), ()> {
+        let cycle = self.cycle.clone();
+        let Some(live) = &cycle.live else {
+            return Ok(());
+        };
+        self.enter_phase(MigPhase::Precopy)?;
+        let (ctx, inner, id) = (self.ctx, &self.rt.inner, cycle.id);
+        let ph = self.open_span("precopy");
         // The controller is instantiated after round 0 completes, so its
         // bandwidth estimate comes from the measured full-image round
         // rather than a static calibration constant.
-        let mut policy: Option<Box<dyn livemig::ConvergencePolicy>> = None;
+        let mut policy: Option<livemig::DowntimeBudget> = None;
         let mut round: u32 = 0;
-        let mut fell_back = false;
-        loop {
+        let fell_back = loop {
             // Each round is one self-contained TransferSession; a fresh
             // rendezvous keeps a straggler from a failed round from
             // pairing with the next round's pool.
-            live.begin_round(PoolRendezvous::new(handle));
+            live.begin_round(PoolRendezvous::new(inner.cluster.handle()));
             let r0 = ctx.now();
-            ftb.publish(
+            self.ftb.publish(
                 ctx,
                 FtbEvent::with_payload(
                     MPI_SPACE,
@@ -1780,18 +1829,21 @@ fn run_attempt(
                     Severity::Info,
                     inner.cluster.login(),
                     PrecopyMsg {
-                        source,
-                        target,
+                        source: cycle.source,
+                        target: cycle.target,
                         cycle: id,
                         round,
-                        epoch,
+                        epoch: self.epoch,
                     },
                 ),
             );
-            let done = wait_precopy_done_until(ctx, sub, id, round, r0 + rec.migrate_timeout);
+            let done = pop_until(ctx, self.sub, Some(r0 + self.rec.migrate_timeout), |ev| {
+                ev.payload_as::<PrecopyDoneMsg>()
+                    .filter(|m| ev.name == FTB_PRECOPY_DONE && m.cycle == id && m.round == round)
+                    .copied()
+            });
             let Some(done) = done.filter(|d| d.ok) else {
-                fell_back = true;
-                break;
+                break true;
             };
             let dur = ctx.now() - r0;
             inner.journal.append(WalRecord::PrecopyRound {
@@ -1800,12 +1852,16 @@ fn run_attempt(
                 bytes: done.bytes,
             });
             ctx.check_killed();
-            let _ = proto_step(ctx, stepper, CycleEvent::PrecopyRound, &always);
+            let _ = proto_step(ctx, self.stepper, CycleEvent::PrecopyRound, &ALWAYS);
             live.precopied.fetch_add(done.bytes, Ordering::Relaxed);
             live.rounds.fetch_add(1, Ordering::Relaxed);
             // Residual pending right now: the size of the next round (or
             // of the cutover stop-and-copy, if the verdict is to stop).
-            let pending: u64 = ranks.iter().map(|&r| inner.job.cr(r).dirty_bytes()).sum();
+            let pending: u64 = cycle
+                .ranks
+                .iter()
+                .map(|&r| inner.job.cr(r).dirty_bytes())
+                .sum();
             let report = livemig::RoundReport {
                 round,
                 bytes: done.bytes,
@@ -1836,23 +1892,20 @@ fn run_attempt(
                 livemig::Decision::Continue => round += 1,
                 livemig::Decision::CutOver => {
                     live.cutover.store(true, Ordering::Relaxed);
-                    let _ = proto_step(ctx, stepper, CycleEvent::Cutover, &always);
-                    break;
+                    let _ = proto_step(ctx, self.stepper, CycleEvent::Cutover, &ALWAYS);
+                    break false;
                 }
-                livemig::Decision::Fallback => {
-                    fell_back = true;
-                    break;
-                }
+                livemig::Decision::Fallback => break true,
             }
-        }
+        };
         if fell_back {
             // Divergence, a timed-out round, or a failed pull: abandon
-            // the pre-copied state and run the classic full stop-and-copy
-            // below. The dirty trackers are disarmed so source ranks
-            // stream complete images.
-            let _ = proto_step(ctx, stepper, CycleEvent::FallbackStopCopy, &always);
+            // the pre-copied state and run the classic full stop-and-copy.
+            // The dirty trackers are disarmed so source ranks stream
+            // complete images.
+            let _ = proto_step(ctx, self.stepper, CycleEvent::FallbackStopCopy, &ALWAYS);
             live.accums.lock().clear();
-            for &r in ranks {
+            for &r in &cycle.ranks {
                 inner.job.cr(r).disarm_dirty();
             }
             ctx.instant_with("log", "live_fallback", || {
@@ -1860,199 +1913,50 @@ fn run_attempt(
             });
         }
         ph.end();
+        Ok(())
     }
-    let precopy_wall = ctx.now() - pre0;
+}
 
-    // Phase 1 — Job Stall.
-    if crash(MigPhase::Stall) {
-        kill_spare(ctx, rt, target);
-        fail!(CycleEvent::SpareCrash, "spare_crash", false);
+/// Phase 3's coordinator side, and the one place `FTB_RESTART` is
+/// published: put the rewire on record (unless `journal` is false — the
+/// journal already holds it), adjust the spawn tree, then broadcast the
+/// restart under `epoch`. `before_publish` runs right before the
+/// broadcast (the pipelined path opens its restart span there).
+fn restart_broadcast(
+    ctx: &Ctx,
+    rt: &JobRuntime,
+    ftb: &FtbClient,
+    cycle: &MigCycle,
+    epoch: u64,
+    journal: bool,
+    before_publish: impl FnOnce(),
+) {
+    let inner = &rt.inner;
+    if journal {
+        inner.journal.append(WalRecord::NlaRewire {
+            cycle: cycle.id,
+            target: cycle.target,
+        });
+        ctx.check_killed();
     }
-    inner.journal.append(WalRecord::PhaseEnter {
-        cycle: id,
-        phase: MigPhase::Stall,
-    });
-    ctx.check_killed();
-    let t0 = ctx.now();
-    let ph = ctx.span_with("phase", "stall", phase_args(req));
+    ctx.sleep(calib::SPAWN_TREE_ADJUST);
+    inner.spawn_tree.lock().replace(cycle.source, cycle.target);
+    before_publish();
     ftb.publish(
         ctx,
         FtbEvent::with_payload(
             MPI_SPACE,
-            FTB_MIGRATE,
+            FTB_RESTART,
             Severity::Error,
             inner.cluster.login(),
-            MigrateMsg {
-                source,
-                target,
-                cycle: id,
+            RestartMsg {
+                cycle: cycle.id,
+                target: cycle.target,
+                ranks: cycle.ranks.clone(),
                 epoch,
             },
         ),
     );
-    let deadline = t0 + rec.stall_timeout;
-    let ok = wait_suspend_acks_until(ctx, sub, id, inner.spec.nranks, deadline)
-        && wait_countdown_until(ctx, &cycle.stall_done, deadline);
-    ph.end();
-    if !ok {
-        fail!(CycleEvent::PhaseTimeout, "stall_timeout", true);
-    }
-    let _ = proto_step(ctx, stepper, CycleEvent::StallDone, &always);
-    let t1 = ctx.now();
-
-    // Phase 2 — Job Migration.
-    if crash(MigPhase::Migrate) {
-        kill_spare(ctx, rt, target);
-        fail!(CycleEvent::SpareCrash, "spare_crash", false);
-    }
-    inner.journal.append(WalRecord::PhaseEnter {
-        cycle: id,
-        phase: MigPhase::Migrate,
-    });
-    ctx.check_killed();
-    let ph = ctx.span_with("phase", "migrate", phase_args(req));
-    // Pipelined data path: Phase 3 is kicked off *now*, overlapping the
-    // pull — the spawn tree is adjusted and FTB_RESTART goes out while
-    // chunks are still streaming, and the target's restart workers start
-    // per rank on its `image_ready` event. The cycle-table event order
-    // (MigrateDone before RestartDone) is unchanged: PIIC still closes
-    // Phase 2 below, and Phase 3's *tail* beyond that point is what the
-    // report attributes to restart. The overlapping `"phase"` spans are
-    // rendered by `telemetry::Timeline` (sum vs wall).
-    let restart_ph = if cycle.pool.overlap {
-        inner
-            .journal
-            .append(WalRecord::NlaRewire { cycle: id, target });
-        ctx.check_killed();
-        ctx.sleep(calib::SPAWN_TREE_ADJUST);
-        inner.spawn_tree.lock().replace(source, target);
-        tree_adjusted = true;
-        // Moved into `restart_ph` and ended at Phase 3's `ph.end()`.
-        let p = ctx.span_with("phase", "restart", phase_args(req)); // jmlint: allow(span_exit)
-        ftb.publish(
-            ctx,
-            FtbEvent::with_payload(
-                MPI_SPACE,
-                FTB_RESTART,
-                Severity::Error,
-                inner.cluster.login(),
-                RestartMsg {
-                    cycle: id,
-                    target,
-                    ranks: ranks.to_vec(),
-                    epoch,
-                },
-            ),
-        );
-        Some(p)
-    } else {
-        None
-    };
-    let deadline = t1 + rec.migrate_timeout;
-    let ok = wait_named_until(ctx, sub, FTB_MIGRATE_PIIC, id, deadline)
-        && wait_event_until(ctx, &cycle.piic, deadline);
-    ph.end();
-    if !ok {
-        fail!(CycleEvent::PhaseTimeout, "migrate_timeout", true);
-    }
-    let _ = proto_step(ctx, stepper, CycleEvent::MigrateDone, &always);
-    let t2 = ctx.now();
-
-    // Phase 3 — Restart on the spare (already underway in overlap mode).
-    if crash(MigPhase::Restart) {
-        kill_spare(ctx, rt, target);
-        fail!(CycleEvent::SpareCrash, "spare_crash", false);
-    }
-    inner.journal.append(WalRecord::PhaseEnter {
-        cycle: id,
-        phase: MigPhase::Restart,
-    });
-    ctx.check_killed();
-    let ph = match restart_ph {
-        Some(p) => p,
-        None => {
-            // Moved out as `ph` and ended at Phase 3's `ph.end()`.
-            let p = ctx.span_with("phase", "restart", phase_args(req)); // jmlint: allow(span_exit)
-            inner
-                .journal
-                .append(WalRecord::NlaRewire { cycle: id, target });
-            ctx.check_killed();
-            ctx.sleep(calib::SPAWN_TREE_ADJUST);
-            inner.spawn_tree.lock().replace(source, target);
-            tree_adjusted = true;
-            ftb.publish(
-                ctx,
-                FtbEvent::with_payload(
-                    MPI_SPACE,
-                    FTB_RESTART,
-                    Severity::Error,
-                    inner.cluster.login(),
-                    RestartMsg {
-                        cycle: id,
-                        target,
-                        ranks: ranks.to_vec(),
-                        epoch,
-                    },
-                ),
-            );
-            p
-        }
-    };
-    // The restart deadline runs from Phase 3's protocol start (t2): in
-    // overlap mode the work began earlier, so the deadline only bounds
-    // the tail that remains once the pull has drained.
-    let deadline = t2 + rec.restart_timeout;
-    let ok = wait_named_until(ctx, sub, FTB_RESTART_DONE, id, deadline)
-        && wait_event_until(ctx, &cycle.restart_done, deadline);
-    ph.end();
-    if !ok {
-        fail!(CycleEvent::PhaseTimeout, "restart_timeout", true);
-    }
-    let _ = proto_step(ctx, stepper, CycleEvent::RestartDone, &always);
-    // The commit point: every rank restarted on the target — from here
-    // the target is authoritative and recovery must roll forward.
-    inner.journal.append(WalRecord::CommitPoint { cycle: id });
-    ctx.check_killed();
-    let t3 = ctx.now();
-
-    // Phase 4 — Resume.
-    if crash(MigPhase::Resume) {
-        kill_spare(ctx, rt, target);
-        fail!(CycleEvent::SpareCrash, "spare_crash", false);
-    }
-    inner.journal.append(WalRecord::PhaseEnter {
-        cycle: id,
-        phase: MigPhase::Resume,
-    });
-    ctx.check_killed();
-    let ph = ctx.span_with("phase", "resume", phase_args(req));
-    let deadline = t3 + rec.resume_timeout;
-    let ok = wait_countdown_until(ctx, &cycle.resumed, deadline);
-    ph.end();
-    if !ok {
-        fail!(CycleEvent::PhaseTimeout, "resume_timeout", true);
-    }
-    let _ = proto_step(ctx, stepper, CycleEvent::ResumeDone, &always);
-    let t4 = ctx.now();
-
-    let live_bytes = cycle
-        .live
-        .as_ref()
-        .map_or(0, |l| l.precopied.load(Ordering::Relaxed));
-    let bytes = *cycle.piic_bytes.lock() + live_bytes;
-    Ok(AttemptTimes {
-        cycle: id,
-        precopy: precopy_wall,
-        precopy_rounds: cycle
-            .live
-            .as_ref()
-            .map_or(0, |l| l.rounds.load(Ordering::Relaxed)),
-        stall: t1 - t0,
-        migrate: t2 - t1,
-        restart: t3 - t2,
-        resume: t4 - t3,
-        bytes,
-    })
 }
 
 /// Simulate the abrupt death of spare node `node`: its NLA process, NLA
@@ -2318,30 +2222,8 @@ fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
     // replace is a no-op when already done and the cycle's claim guard
     // makes a duplicate FTB_RESTART inert.
     if !cycle.restart_done.is_set() {
-        if !fl.rewired {
-            inner.journal.append(WalRecord::NlaRewire {
-                cycle: fl.cycle,
-                target: cycle.target,
-            });
-        }
-        ctx.sleep(calib::SPAWN_TREE_ADJUST);
-        inner.spawn_tree.lock().replace(fl.source, cycle.target);
+        restart_broadcast(ctx, rt, ftb, &cycle, epoch, !fl.rewired, || {});
         adjusted = true;
-        ftb.publish(
-            ctx,
-            FtbEvent::with_payload(
-                MPI_SPACE,
-                FTB_RESTART,
-                Severity::Error,
-                inner.cluster.login(),
-                RestartMsg {
-                    cycle: fl.cycle,
-                    target: cycle.target,
-                    ranks: cycle.ranks.clone(),
-                    epoch,
-                },
-            ),
-        );
     }
     if !wait_event_until(ctx, &cycle.restart_done, ctx.now() + rec.restart_timeout) {
         standby_rollback(ctx, rt, &cycle, &fl, epoch, adjusted);
@@ -2427,9 +2309,9 @@ fn standby_rollback(
     );
 }
 
-/// Common tail of every standby recovery path: outcome counter, report
+/// Common tail of every standby recovery path: the accounted report
 /// (phase durations are zero — the dead coordinator's phase clocks died
-/// with it), pending-source cleanup, and the closing `CycleEnd` record.
+/// with it) and the closing `CycleEnd` record.
 fn settle_standby_outcome(
     ctx: &Ctx,
     rt: &JobRuntime,
@@ -2439,25 +2321,14 @@ fn settle_standby_outcome(
     bytes_moved: u64,
     outcome: MigrationOutcome,
 ) {
-    let inner = &rt.inner;
-    record_outcome(ctx, rt, outcome);
-    inner.mig_reports.lock().push(MigrationReport {
-        cycle: fl.cycle,
-        source: fl.source,
-        target,
-        precopy: Duration::ZERO,
+    let report = MigrationReport {
         precopy_rounds: fl.precopy_rounds,
-        stall: Duration::ZERO,
-        migrate: Duration::ZERO,
-        restart: Duration::ZERO,
-        resume: Duration::ZERO,
         ranks_moved,
         bytes_moved,
-        outcome,
-        attempts: fl.attempt,
-    });
-    inner.pending_sources.lock().remove(&fl.source);
-    inner
+        ..MigrationReport::unclocked(fl.cycle, fl.source, target, outcome, fl.attempt)
+    };
+    settle_report(ctx, rt, report);
+    rt.inner
         .journal
         .append(WalRecord::CycleEnd { cycle: fl.cycle });
 }

@@ -12,10 +12,11 @@
 //!   into an ordinary checkpoint image so the RDMA buffer-pool pipeline
 //!   carries them unchanged) and the target-side [`ImageAccumulator`]
 //!   that keeps a restart-ready merged image at all times;
-//! * [`ConvergencePolicy`] — the controller deciding after each round
-//!   whether to [`Decision::Continue`], [`Decision::CutOver`] to a short
-//!   stop-and-copy of the residual, or [`Decision::Fallback`] to classic
-//!   stop-and-copy when the dirty rate never converges.
+//! * [`DowntimeBudget`] — the convergence controller deciding after each
+//!   round whether to [`Decision::Continue`], [`Decision::CutOver`] to a
+//!   short stop-and-copy of the residual once it fits the downtime budget,
+//!   or [`Decision::Fallback`] to classic stop-and-copy when the dirty
+//!   rate never converges.
 //!
 //! The protocol itself (round scheduling, WAL records, FTB messages,
 //! cutover into Phase 1–4) lives in `jobmig-core`; this crate is the pure
@@ -27,7 +28,4 @@ mod policy;
 
 pub use delta::{Delta, DeltaError, DeltaRun, ImageAccumulator};
 pub use dirty::{DirtySnapshot, DirtyTracker, PageRun, SegRuns};
-pub use policy::{
-    BoundedRounds, ConvergencePolicy, Decision, DirtyRateRatio, DowntimeBudget, LiveConfig,
-    LivePolicyKind, RoundReport,
-};
+pub use policy::{Decision, DowntimeBudget, LiveConfig, RoundReport};

@@ -37,7 +37,7 @@ pub mod prelude {
     pub use jobmig_core::runtime::{
         AppBody, CheckpointRequest, Control, JobRuntime, JobSpec, MigrationRequest, MigrationTuning,
     };
-    pub use livemig::{ConvergencePolicy, Decision, LiveConfig, LivePolicyKind};
+    pub use livemig::{Decision, DowntimeBudget, LiveConfig};
     pub use npbsim::{NpbApp, NpbClass, Workload};
     pub use simkit::{dur, SimTime, Simulation};
     pub use telemetry::{chrome_trace, write_chrome_trace, Registry, Timeline};
