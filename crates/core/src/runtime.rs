@@ -23,7 +23,7 @@ use crate::bufpool::{
     TransferSession,
 };
 use crate::calib;
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, NodeResources};
 use crate::cr_baseline;
 use crate::msgs::*;
 use crate::report::{CrReport, CrStoreKind, MigrationOutcome, MigrationReport, OutcomeCounts};
@@ -2354,154 +2354,114 @@ fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
 
     let ftb = FtbClient::connect(inner.cluster.ftb(), node, &format!("nla@{node}"));
     let sub = ftb.subscribe(&ctx.handle(), EventFilter::space(MPI_SPACE));
-    // Protocol work runs in spawned children registered with the cycle,
-    // so an abort can kill them without taking down the NLA itself.
     loop {
         let ev = sub.pop(ctx);
         match ev.name.as_str() {
             FTB_MIGRATE => {
-                let Some(m) = ev.payload_as::<MigrateMsg>() else {
+                let Some(&m) = ev.payload_as::<MigrateMsg>() else {
                     continue;
                 };
-                let m = *m;
-                if m.epoch < rt.fencing_epoch() {
-                    // Fenced: published under a deposed coordinator epoch.
-                    ctx.instant_with("wal", "fenced_publish", || {
-                        vec![
-                            ("name", FTB_MIGRATE.into()),
-                            ("cycle", m.cycle.into()),
-                            ("epoch", m.epoch.into()),
-                        ]
-                    });
-                    continue;
-                }
-                let Some(cycle) = rt.mig_cycle(m.cycle) else {
+                let fence = rt.fencing_epoch();
+                let Some(cycle) = admit(ctx, &rt, FTB_MIGRATE, m.cycle, m.epoch, fence) else {
                     continue;
                 };
                 if m.source == node {
-                    let rt2 = rt.clone();
-                    let nla2 = nla.clone();
-                    let ftb2 = ftb.clone();
-                    let ph = ctx.spawn_daemon(&format!("mig{}-src@{node}", m.cycle), move |ctx| {
-                        let Some(cycle) = rt2.mig_cycle(m.cycle) else {
-                            return;
-                        };
-                        if cycle.is_aborted() {
-                            return;
-                        }
-                        source_side_phase2(ctx, &rt2, &nla2, &ftb2, m);
+                    let (nla, ftb) = (nla.clone(), ftb.clone());
+                    spawn_reaction(ctx, &rt, &cycle, format!("mig{}-src@{node}", m.cycle), {
+                        move |ctx, rt| source_side_phase2(ctx, rt, &nla, &ftb, m)
                     });
-                    cycle.track(ph);
                 } else if m.target == node {
-                    let rt2 = rt.clone();
-                    let ph = ctx.spawn_daemon(&format!("mig{}-pull@{node}", m.cycle), move |ctx| {
-                        let Some(cycle) = rt2.mig_cycle(m.cycle) else {
-                            return;
-                        };
-                        if cycle.is_aborted() {
-                            return;
-                        }
-                        target_side_pull(ctx, &rt2, m);
+                    spawn_reaction(ctx, &rt, &cycle, format!("mig{}-pull@{node}", m.cycle), {
+                        move |ctx, rt| target_side_pull(ctx, rt, m)
                     });
-                    cycle.track(ph);
                 }
             }
             FTB_PRECOPY => {
-                let Some(m) = ev.payload_as::<PrecopyMsg>() else {
+                let Some(&m) = ev.payload_as::<PrecopyMsg>() else {
                     continue;
                 };
-                let m = *m;
-                if m.epoch < rt.fencing_epoch() {
-                    ctx.instant_with("wal", "fenced_publish", || {
-                        vec![
-                            ("name", FTB_PRECOPY.into()),
-                            ("cycle", m.cycle.into()),
-                            ("epoch", m.epoch.into()),
-                        ]
-                    });
-                    continue;
-                }
-                let Some(cycle) = rt.mig_cycle(m.cycle) else {
+                let fence = rt.fencing_epoch();
+                let Some(cycle) = admit(ctx, &rt, FTB_PRECOPY, m.cycle, m.epoch, fence) else {
                     continue;
                 };
+                let name = |side: &str| format!("mig{}-pre{}-{side}@{node}", m.cycle, m.round);
                 if m.source == node {
-                    let rt2 = rt.clone();
-                    let nla2 = nla.clone();
-                    let ph = ctx.spawn_daemon(
-                        &format!("mig{}-pre{}-src@{node}", m.cycle, m.round),
-                        move |ctx| {
-                            let Some(cycle) = rt2.mig_cycle(m.cycle) else {
-                                return;
-                            };
-                            if cycle.is_aborted() {
-                                return;
-                            }
-                            source_side_precopy(ctx, &rt2, &nla2, m);
-                        },
-                    );
-                    cycle.track(ph);
+                    let nla = nla.clone();
+                    spawn_reaction(ctx, &rt, &cycle, name("src"), move |ctx, rt| {
+                        source_side_precopy(ctx, rt, &nla, m)
+                    });
                 } else if m.target == node {
-                    let rt2 = rt.clone();
-                    let ftb2 = ftb.clone();
-                    let ph = ctx.spawn_daemon(
-                        &format!("mig{}-pre{}-pull@{node}", m.cycle, m.round),
-                        move |ctx| {
-                            let Some(cycle) = rt2.mig_cycle(m.cycle) else {
-                                return;
-                            };
-                            if cycle.is_aborted() {
-                                return;
-                            }
-                            target_side_precopy(ctx, &rt2, &ftb2, m);
-                        },
-                    );
-                    cycle.track(ph);
+                    let ftb = ftb.clone();
+                    spawn_reaction(ctx, &rt, &cycle, name("pull"), move |ctx, rt| {
+                        target_side_precopy(ctx, rt, &ftb, m)
+                    });
                 }
             }
             FTB_RESTART => {
                 let Some(r) = ev.payload_as::<RestartMsg>() else {
                     continue;
                 };
-                if r.epoch < rt.fencing_epoch() {
-                    let (cycle, epoch) = (r.cycle, r.epoch);
-                    ctx.instant_with("wal", "fenced_publish", || {
-                        vec![
-                            ("name", FTB_RESTART.into()),
-                            ("cycle", cycle.into()),
-                            ("epoch", epoch.into()),
-                        ]
-                    });
+                let fence = rt.fencing_epoch();
+                let Some(cycle) = admit(ctx, &rt, FTB_RESTART, r.cycle, r.epoch, fence) else {
                     continue;
-                }
-                if r.target == node {
-                    let r = r.clone();
-                    let rt2 = rt.clone();
-                    let nla2 = nla.clone();
-                    let ftb2 = ftb.clone();
-                    let Some(cycle) = rt.mig_cycle(r.cycle) else {
-                        continue;
-                    };
-                    if !cycle.claim_restart() {
-                        // Duplicate broadcast (original + standby
-                        // re-publish); the first reaction owns Phase 3.
-                        continue;
-                    }
-                    let ph =
-                        ctx.spawn_daemon(&format!("mig{}-restart@{node}", r.cycle), move |ctx| {
-                            let Some(cycle) = rt2.mig_cycle(r.cycle) else {
-                                return;
-                            };
-                            if cycle.is_aborted() {
-                                return;
-                            }
-                            target_side_restart(ctx, &rt2, &nla2, &ftb2, r);
-                        });
-                    cycle.track(ph);
+                };
+                // A duplicate broadcast (original + standby re-publish) is
+                // a no-op: the first reaction owns Phase 3.
+                if r.target == node && cycle.claim_restart() {
+                    let (r, nla, ftb) = (r.clone(), nla.clone(), ftb.clone());
+                    let name = format!("mig{}-restart@{node}", r.cycle);
+                    spawn_reaction(ctx, &rt, &cycle, name, move |ctx, rt| {
+                        target_side_restart(ctx, rt, &nla, &ftb, r)
+                    });
                 }
             }
             _ => {}
         }
     }
+}
+
+/// The NLA's gate on a fenced coordinator command: drop it (with a
+/// `fenced_publish` record) if it was published under an epoch older than
+/// `fence`, else look up the cycle it addresses (`None`: not one of this
+/// job's cycles).
+fn admit(
+    ctx: &Ctx,
+    rt: &JobRuntime,
+    name: &str,
+    cycle: u64,
+    epoch: u64,
+    fence: u64,
+) -> Option<Arc<MigCycle>> {
+    if epoch < fence {
+        ctx.instant_with("wal", "fenced_publish", || {
+            vec![
+                ("name", name.into()),
+                ("cycle", cycle.into()),
+                ("epoch", epoch.into()),
+            ]
+        });
+        return None;
+    }
+    rt.mig_cycle(cycle)
+}
+
+/// Run an NLA's protocol reaction in a child registered with `cycle`, so
+/// an abort can kill it without taking down the NLA itself. A child that
+/// starts after the abort does nothing.
+fn spawn_reaction(
+    ctx: &Ctx,
+    rt: &JobRuntime,
+    cycle: &MigCycle,
+    name: String,
+    body: impl FnOnce(&Ctx, &JobRuntime) + Send + 'static,
+) {
+    let (rt2, id) = (rt.clone(), cycle.id);
+    let ph = ctx.spawn_daemon(&name, move |ctx| {
+        if rt2.mig_cycle(id).is_some_and(|c| !c.is_aborted()) {
+            body(ctx, &rt2);
+        }
+    });
+    cycle.track(ph);
 }
 
 /// Source NLA, one pre-copy round: capture each local rank's state while
@@ -2640,23 +2600,12 @@ fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMs
     let mut pages = 0u64;
     let mut ok = true;
     for (rank, info) in staged {
-        let parsed = match info.slices {
-            Some(slices) => res.blcr.restart(
-                ctx,
-                &mut blcrsim::MemSource::new(slices),
-                &calib::restart_costs(),
-            ),
-            None => {
-                let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
-                let mut src = StoreSource::new(store, info.path.clone());
-                res.blcr.restart(ctx, &mut src, &calib::restart_costs())
-            }
-        };
-        let Ok(img) = parsed else {
+        let expected = info.expected_checksum;
+        let Ok(img) = restart_assembled(ctx, res, info) else {
             ok = false;
             continue;
         };
-        if img.checksum() != info.expected_checksum {
+        if img.checksum() != expected {
             // A corrupt round payload never reaches the accumulator; the
             // controller falls back to classic stop-and-copy.
             ok = false;
@@ -2934,6 +2883,28 @@ impl std::fmt::Display for RestartRankError {
     }
 }
 
+/// BLCR restart of an assembled image on the node owning `res`: parse it
+/// straight from the buffer-pool slices (memory-based restart, the
+/// paper's future work — only parse and populate costs remain), or read
+/// the staged file back from the local disk.
+fn restart_assembled(
+    ctx: &Ctx,
+    res: &NodeResources,
+    info: AssembledImage,
+) -> Result<ProcessImage, blcrsim::StreamError> {
+    let costs = calib::restart_costs();
+    match info.slices {
+        Some(slices) => res
+            .blcr
+            .restart(ctx, &mut blcrsim::MemSource::new(slices), &costs),
+        None => {
+            let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
+            let mut src = StoreSource::new(store, info.path);
+            res.blcr.restart(ctx, &mut src, &costs)
+        }
+    }
+}
+
 fn restart_one_rank(
     ctx: &Ctx,
     rt: &JobRuntime,
@@ -2948,22 +2919,9 @@ fn restart_one_rank(
         .get(&rank)
         .cloned()
         .ok_or(RestartRankError::ImageMissing)?;
-    let res = inner.cluster.node(target);
-    let restarted = match info.slices {
-        // Memory-based restart (the paper's future work): the stream is
-        // already in the buffer pool; only parse + populate costs remain.
-        Some(slices) => res.blcr.restart(
-            ctx,
-            &mut blcrsim::MemSource::new(slices),
-            &calib::restart_costs(),
-        ),
-        None => {
-            let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
-            let mut src = StoreSource::new(store, info.path.clone());
-            res.blcr.restart(ctx, &mut src, &calib::restart_costs())
-        }
-    };
-    let image = restarted.map_err(|e| RestartRankError::ImageParse(e.to_string()))?;
+    let expected = info.expected_checksum;
+    let image = restart_assembled(ctx, inner.cluster.node(target), info)
+        .map_err(|e| RestartRankError::ImageParse(e.to_string()))?;
     // Live cutover: the streamed bytes are the residual delta, and only
     // its (small) population cost was just paid — the pre-copied bulk was
     // populated into the accumulator during the overlapped rounds. Merge
@@ -2990,10 +2948,10 @@ fn restart_one_rank(
         },
         None => image,
     };
-    if image.checksum() != info.expected_checksum {
+    if image.checksum() != expected {
         return Err(RestartRankError::ChecksumMismatch {
             got: image.checksum(),
-            want: info.expected_checksum,
+            want: expected,
         });
     }
     let meta = unwrap_meta(&image).map_err(RestartRankError::MetaCorrupt)?;
@@ -3046,21 +3004,7 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
                     // nothing was suspended, nothing to recover.
                     continue;
                 }
-                rt.rank_apply(ctx, rank, RankEvent::Suspend);
-                cr.suspend_and_drain(ctx);
-                ftb.publish(
-                    ctx,
-                    FtbEvent::with_payload(
-                        MPI_SPACE,
-                        FTB_SUSPEND_ACK,
-                        Severity::Info,
-                        inner.job.rank_node(rank),
-                        SuspendAckMsg {
-                            cycle: m.cycle,
-                            rank,
-                        },
-                    ),
-                );
+                suspend_and_ack(ctx, &rt, &ftb, &cr, m.cycle);
                 cycle.stall_done.arrive();
                 if inner.job.rank_node(rank) == m.source {
                     // Phase 2: wait for the consistent global state, then
@@ -3130,21 +3074,7 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
                 let Some(cycle) = rt.ckpt_cycle(c.cycle) else {
                     continue;
                 };
-                rt.rank_apply(ctx, rank, RankEvent::Suspend);
-                cr.suspend_and_drain(ctx);
-                ftb.publish(
-                    ctx,
-                    FtbEvent::with_payload(
-                        MPI_SPACE,
-                        FTB_SUSPEND_ACK,
-                        Severity::Info,
-                        inner.job.rank_node(rank),
-                        SuspendAckMsg {
-                            cycle: c.cycle,
-                            rank,
-                        },
-                    ),
-                );
+                suspend_and_ack(ctx, &rt, &ftb, &cr, c.cycle);
                 cycle.stall_done.arrive_and_wait(ctx);
                 // Dump my image to the configured store.
                 let mynode = inner.job.rank_node(rank);
@@ -3198,6 +3128,24 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
             _ => {}
         }
     }
+}
+
+/// Phase 1 on a rank (migration or checkpoint): suspend and drain its
+/// communication, then acknowledge to the Job Manager.
+fn suspend_and_ack(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, cr: &mpisim::RankCr, cycle: u64) {
+    let rank = cr.rank();
+    rt.rank_apply(ctx, rank, RankEvent::Suspend);
+    cr.suspend_and_drain(ctx);
+    ftb.publish(
+        ctx,
+        FtbEvent::with_payload(
+            MPI_SPACE,
+            FTB_SUSPEND_ACK,
+            Severity::Info,
+            rt.inner.job.rank_node(rank),
+            SuspendAckMsg { cycle, rank },
+        ),
+    );
 }
 
 /// Phase 4: the migration barrier, endpoint rebuild, and resume.
