@@ -19,8 +19,8 @@
 //!   rebuild, resume).
 
 use crate::bufpool::{
-    AssembledImage, PoolConfig, PoolRendezvous, RestartMode, SourcePool, TargetHooks,
-    TransferSession,
+    AssembledImage, PoolConfig, PoolRendezvous, RankReadyHook, RestartMode, SourcePool,
+    TargetHooks, TransferSession,
 };
 use crate::calib;
 use crate::cluster::{Cluster, NodeResources};
@@ -91,25 +91,15 @@ pub struct JobSpec {
     pub standby: bool,
 }
 
+/// The workload seed every [`JobSpec`] starts with.
+const DEFAULT_SEED: u64 = 42;
+
 impl JobSpec {
     /// A spec running the given NPB workload.
     pub fn npb(workload: npbsim::Workload, ppn: u32) -> JobSpec {
-        let nranks = workload.np;
-        let seed = 42;
-        let w = workload;
-        JobSpec {
-            nranks,
-            ppn,
-            app: Arc::new(move |ctx: &Ctx, rank: &mut MpiRank| {
-                npbsim::run_rank(ctx, rank, &w, seed);
-            }),
-            mpi: MpiConfig::default(),
-            pool: PoolConfig::default(),
-            seed,
-            auto_migrate_on_health: false,
-            recovery: calib::recovery(),
-            standby: false,
-        }
+        JobSpec::custom(workload.np, ppn, move |ctx: &Ctx, rank: &mut MpiRank| {
+            npbsim::run_rank(ctx, rank, &workload, DEFAULT_SEED);
+        })
     }
 
     /// A spec running arbitrary application code.
@@ -120,7 +110,7 @@ impl JobSpec {
             app: Arc::new(app),
             mpi: MpiConfig::default(),
             pool: PoolConfig::default(),
-            seed: 42,
+            seed: DEFAULT_SEED,
             auto_migrate_on_health: false,
             recovery: calib::recovery(),
             standby: false,
@@ -499,6 +489,16 @@ impl MigCycle {
         }
     }
 
+    /// Pull-engine hooks for this cycle: every helper process the engine
+    /// spawns is registered with the cycle (killed on abort).
+    fn target_hooks(self: &Arc<Self>, on_rank_ready: Option<RankReadyHook>) -> TargetHooks {
+        let cycle = self.clone();
+        TargetHooks {
+            on_rank_ready,
+            on_spawn: Some(Arc::new(move |ph| cycle.track(ph))),
+        }
+    }
+
     /// First caller wins the right to run the Phase 3 restart reaction;
     /// a duplicate `FTB_RESTART` (original + standby re-publish) is a
     /// no-op for everyone else.
@@ -524,6 +524,21 @@ pub(crate) struct NlaShared {
     pub node: NodeId,
     pub state: Mutex<NlaState>,
     pub ranks: Mutex<Vec<u32>>,
+}
+
+impl NlaShared {
+    fn new(node: NodeId, state: NlaState) -> Arc<NlaShared> {
+        Arc::new(NlaShared {
+            node,
+            state: Mutex::new(state),
+            ranks: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Hosts ranks and can migrate them away.
+    fn ready(&self) -> bool {
+        *self.state.lock() == NlaState::MigrationReady && !self.ranks.lock().is_empty()
+    }
 }
 
 /// A trivial model of the mpispawn tree the Job Manager adjusts in
@@ -712,11 +727,7 @@ impl JobRuntime {
             job.init_rank(r, node, Bytes::new());
             let nla = nlas.entry(node).or_insert_with(|| {
                 used_nodes.push(node);
-                Arc::new(NlaShared {
-                    node,
-                    state: Mutex::new(NlaState::MigrationReady),
-                    ranks: Mutex::new(Vec::new()),
-                })
+                NlaShared::new(node, NlaState::MigrationReady)
             });
             nla.ranks.lock().push(r);
         }
@@ -724,14 +735,7 @@ impl JobRuntime {
         // pool; nodes leased or reclaimed later are adopted on demand
         // (`adopt_spare`).
         for spare in cluster.spare_pool().free_nodes() {
-            nlas.insert(
-                spare,
-                Arc::new(NlaShared {
-                    node: spare,
-                    state: Mutex::new(NlaState::MigrationSpare),
-                    ranks: Mutex::new(Vec::new()),
-                }),
-            );
+            nlas.insert(spare, NlaShared::new(spare, NlaState::MigrationSpare));
         }
         let journal = CycleJournal::new(&handle);
         if let Some(plane) = cluster.fault_plane() {
@@ -774,42 +778,46 @@ impl JobRuntime {
         journal.set_crash_hook(move || coord.fire());
         rt.inner.spawn_tree.lock().nodes = used_nodes.clone();
 
-        // NLA daemons on every participating node (compute + spares).
-        let all_nla_nodes: Vec<NodeId> = {
-            let nlas = rt.inner.nlas.lock();
-            let mut v: Vec<NodeId> = nlas.keys().copied().collect();
-            v.sort();
-            v
-        };
+        // NLA daemons on every participating node (compute + spares), in
+        // node-id order.
+        let all_nla_nodes: Vec<NodeId> = rt.inner.nlas.lock().keys().copied().collect();
         for node in all_nla_nodes {
-            let rt2 = rt.clone();
-            let ph = handle.spawn_daemon(&rt.proc_name("nla", &node.to_string()), move |ctx| {
-                nla_proc(ctx, rt2, node)
-            });
-            rt.inner.nla_procs.lock().insert(node, ph);
+            rt.spawn_nla(node);
         }
         // Job Manager on the login node.
-        let rt2 = rt.clone();
-        let jm = handle.spawn_daemon(&rt.proc_name("job-manager", ""), move |ctx| {
-            jm_proc(ctx, rt2)
-        });
+        let jm = rt.spawn_daemon(&rt.proc_name("job-manager", ""), jm_proc);
         rt.inner.coord.arm(jm, rt.inner.coord.dead());
         // Standby coordinator (same login node in the paper's deployment;
         // here a separate daemon so the Job Manager's death leaves it up).
         if rt.inner.spec.standby {
-            let rt2 = rt.clone();
-            handle.spawn_daemon(&rt.proc_name("standby", ""), move |ctx| {
-                standby_proc(ctx, rt2)
-            });
+            rt.spawn_daemon(&rt.proc_name("standby", ""), standby_proc);
         }
         // Health-event bridge.
         if rt.inner.spec.auto_migrate_on_health {
-            let rt2 = rt.clone();
-            handle.spawn_daemon(&rt.proc_name("health-bridge", ""), move |ctx| {
-                health_bridge(ctx, rt2)
-            });
+            rt.spawn_daemon(&rt.proc_name("health-bridge", ""), health_bridge);
         }
         rt
+    }
+
+    /// Spawn one of the job's daemons.
+    fn spawn_daemon(
+        &self,
+        name: &str,
+        body: impl FnOnce(&Ctx, JobRuntime) + Send + 'static,
+    ) -> ProcHandle {
+        let rt = self.clone();
+        self.inner
+            .cluster
+            .handle()
+            .spawn_daemon(name, move |ctx| body(ctx, rt))
+    }
+
+    /// Spawn (and register) the NLA daemon of `node`.
+    fn spawn_nla(&self, node: NodeId) {
+        let ph = self.spawn_daemon(&self.proc_name("nla", &node.to_string()), move |ctx, rt| {
+            nla_proc(ctx, rt, node)
+        });
+        self.inner.nla_procs.lock().insert(node, ph);
     }
 
     /// Daemon names: identical to the historical single-job names for
@@ -1007,21 +1015,11 @@ impl JobRuntime {
                 return false;
             }
         }
-        let nla = Arc::new(NlaShared {
-            node,
-            state: Mutex::new(NlaState::MigrationSpare),
-            ranks: Mutex::new(Vec::new()),
-        });
-        self.inner.nlas.lock().insert(node, nla);
-        let rt2 = self.clone();
-        let ph = self
-            .inner
-            .cluster
-            .handle()
-            .spawn_daemon(&self.proc_name("nla", &node.to_string()), move |ctx| {
-                nla_proc(ctx, rt2, node)
-            });
-        self.inner.nla_procs.lock().insert(node, ph);
+        self.inner
+            .nlas
+            .lock()
+            .insert(node, NlaShared::new(node, NlaState::MigrationSpare));
+        self.spawn_nla(node);
         true
     }
 
@@ -1355,39 +1353,24 @@ fn run_migration(
     req: MigrationRequest,
 ) {
     let inner = &rt.inner;
-    // Resolve the source node.
-    let source = match req.source {
-        Some(s) => s,
-        None => {
-            let nlas = inner.nlas.lock();
-            let mut candidates: Vec<NodeId> = nlas
-                .values()
-                .filter(|n| {
-                    *n.state.lock() == NlaState::MigrationReady && !n.ranks.lock().is_empty()
-                })
-                .map(|n| n.node)
-                .collect();
-            candidates.sort();
-            match candidates.first() {
-                Some(s) => *s,
-                None => return,
-            }
-        }
+    // Resolve the source node (default: the first ready one in node-id
+    // order) and the ranks it hosts.
+    let source = req.source.or_else(|| {
+        let nlas = inner.nlas.lock();
+        nlas.values().find(|n| n.ready()).map(|n| n.node)
+    });
+    let Some(source) = source else {
+        return;
     };
     let ranks = {
         let nlas = inner.nlas.lock();
-        match nlas.get(&source) {
-            Some(n) if *n.state.lock() == NlaState::MigrationReady => n.ranks.lock().clone(),
-            _ => {
-                inner.pending_sources.lock().remove(&source);
-                return;
-            }
-        }
+        let nla = nlas.get(&source).filter(|n| n.ready());
+        nla.map(|n| n.ranks.lock().clone())
     };
-    if ranks.is_empty() {
+    let Some(ranks) = ranks else {
         inner.pending_sources.lock().remove(&source);
         return;
-    }
+    };
 
     // Self-healing attempt loop: each attempt leases a spare from the
     // front of the cluster's shared pool; a spare that survives its
@@ -2083,12 +2066,7 @@ fn health_bridge(ctx: &Ctx, rt: JobRuntime) {
             continue;
         };
         let node = alert.node;
-        let hosts_ranks = {
-            let nlas = rt.inner.nlas.lock();
-            nlas.get(&node)
-                .map(|n| *n.state.lock() == NlaState::MigrationReady && !n.ranks.lock().is_empty())
-                .unwrap_or(false)
-        };
+        let hosts_ranks = rt.inner.nlas.lock().get(&node).is_some_and(|n| n.ready());
         if hosts_ranks && rt.inner.pending_sources.lock().insert(node) {
             rt.inner.triggers.push(Trigger::Migrate {
                 req: MigrationRequest::new().from_node(node).label("health-auto"),
@@ -2117,12 +2095,14 @@ fn standby_proc(ctx: &Ctx, rt: JobRuntime) {
         takeover(ctx, &rt, &ftb);
         // Respawn the Job Manager under the new epoch and re-arm the
         // crash signal for the next generation.
-        let epoch = rt.fencing_epoch();
-        let handle = rt.inner.cluster.handle();
-        let rt2 = rt.clone();
-        let name = format!("{}-g{epoch}", rt.proc_name("job-manager", ""));
-        let jm = handle.spawn_daemon(&name, move |ctx| jm_proc(ctx, rt2));
-        rt.inner.coord.arm(jm, Event::new(handle, "coord-dead"));
+        let name = format!(
+            "{}-g{}",
+            rt.proc_name("job-manager", ""),
+            rt.fencing_epoch()
+        );
+        let jm = rt.spawn_daemon(&name, jm_proc);
+        let dead = Event::new(rt.inner.cluster.handle(), "coord-dead");
+        rt.inner.coord.arm(jm, dead);
     }
 }
 
@@ -2168,15 +2148,8 @@ fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
         inner
             .journal
             .append(WalRecord::Rollback { cycle: fl.cycle });
-        settle_standby_outcome(
-            ctx,
-            rt,
-            &fl,
-            fl.source,
-            0,
-            0,
-            MigrationOutcome::RolledBackByStandby,
-        );
+        let outcome = MigrationOutcome::RolledBackByStandby;
+        settle_standby_outcome(ctx, rt, &fl, fl.source, outcome, None);
         return;
     };
     if fl.rolling_back {
@@ -2252,7 +2225,7 @@ fn roll_forward(
         // resume did not land — account the trigger as lost rather than
         // hang the takeover (expected never; Phase 4 needs no
         // coordinator).
-        settle_standby_outcome(ctx, rt, fl, cycle.target, 0, 0, MigrationOutcome::Lost);
+        settle_standby_outcome(ctx, rt, fl, cycle.target, MigrationOutcome::Lost, None);
         return;
     }
     if let Some((node, _)) = fl.lease {
@@ -2265,16 +2238,8 @@ fn roll_forward(
         }
         inner.pool.consume_at(node, inner.job_id, epoch);
     }
-    let bytes = *cycle.piic_bytes.lock();
-    settle_standby_outcome(
-        ctx,
-        rt,
-        fl,
-        cycle.target,
-        cycle.ranks.len(),
-        bytes,
-        MigrationOutcome::ResumedByStandby,
-    );
+    let outcome = MigrationOutcome::ResumedByStandby;
+    settle_standby_outcome(ctx, rt, fl, cycle.target, outcome, Some(cycle));
 }
 
 /// Pre-commit recovery: finish (or initiate) the rollback the journal
@@ -2298,15 +2263,8 @@ fn standby_rollback(
     if let Some((node, _)) = fl.lease {
         inner.pool.release_front_at(node, inner.job_id, epoch);
     }
-    settle_standby_outcome(
-        ctx,
-        rt,
-        fl,
-        cycle.target,
-        0,
-        0,
-        MigrationOutcome::RolledBackByStandby,
-    );
+    let outcome = MigrationOutcome::RolledBackByStandby;
+    settle_standby_outcome(ctx, rt, fl, cycle.target, outcome, None);
 }
 
 /// Common tail of every standby recovery path: the accounted report
@@ -2317,14 +2275,13 @@ fn settle_standby_outcome(
     rt: &JobRuntime,
     fl: &InFlight,
     target: NodeId,
-    ranks_moved: usize,
-    bytes_moved: u64,
     outcome: MigrationOutcome,
+    moved: Option<&MigCycle>,
 ) {
     let report = MigrationReport {
         precopy_rounds: fl.precopy_rounds,
-        ranks_moved,
-        bytes_moved,
+        ranks_moved: moved.map_or(0, |c| c.ranks.len()),
+        bytes_moved: moved.map_or(0, |c| *c.piic_bytes.lock()),
         ..MigrationReport::unclocked(fl.cycle, fl.source, target, outcome, fl.attempt)
     };
     settle_report(ctx, rt, report);
@@ -2546,13 +2503,7 @@ fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMs
     let hca = inner.cluster.fabric().attach(m.target);
     let res = inner.cluster.node(m.target);
     let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
-    let hooks = TargetHooks {
-        on_rank_ready: None,
-        on_spawn: Some(Arc::new({
-            let cycle = cycle.clone();
-            move |ph| cycle.track(ph)
-        })),
-    };
+    let hooks = cycle.target_hooks(None);
     let report = |ok: bool, bytes: u64, pages: u64| {
         ftb.publish(
             ctx,
@@ -2683,35 +2634,29 @@ fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
     // As each rank's image finishes assembly the pool hands it over here,
     // and the per-rank `rank_ready` event releases that rank's restart
     // worker — in overlap mode, while other ranks are still streaming.
-    let hooks = TargetHooks {
-        on_rank_ready: Some(Arc::new({
-            let cycle = cycle.clone();
-            let journal = inner.journal.clone();
-            move |ctx: &Ctx, rank: u32, image: AssembledImage| {
-                // NLA-side WAL append: recorded before the image is handed
-                // over. Appenders on the data path survive a coordinator
-                // crash (the crash hook kills only the Job Manager), so
-                // the journal keeps tracking per-rank progress — exactly
-                // what lets the standby resume from the last verified
-                // point instead of rolling back.
-                journal.append(WalRecord::RankImageReady {
-                    cycle: cycle.id,
-                    rank,
-                });
-                cycle.images.lock().insert(rank, image);
-                if let Some(ev) = cycle.rank_ready.get(&rank) {
-                    ev.set();
-                }
-                ctx.instant_with("pool", "rank_image_ready", || {
-                    vec![("cycle", cycle.id.into()), ("rank", rank.into())]
-                });
+    let hooks = cycle.target_hooks(Some(Arc::new({
+        let cycle = cycle.clone();
+        let journal = inner.journal.clone();
+        move |ctx: &Ctx, rank: u32, image: AssembledImage| {
+            // NLA-side WAL append: recorded before the image is handed
+            // over. Appenders on the data path survive a coordinator
+            // crash (the crash hook kills only the Job Manager), so
+            // the journal keeps tracking per-rank progress — exactly
+            // what lets the standby resume from the last verified
+            // point instead of rolling back.
+            journal.append(WalRecord::RankImageReady {
+                cycle: cycle.id,
+                rank,
+            });
+            cycle.images.lock().insert(rank, image);
+            if let Some(ev) = cycle.rank_ready.get(&rank) {
+                ev.set();
             }
-        })),
-        on_spawn: Some(Arc::new({
-            let cycle = cycle.clone();
-            move |ph| cycle.track(ph)
-        })),
-    };
+            ctx.instant_with("pool", "rank_image_ready", || {
+                vec![("cycle", cycle.id.into()), ("rank", rank.into())]
+            });
+        }
+    })));
     match TransferSession::from_config(cycle.pool).target_with(
         ctx,
         &hca,
