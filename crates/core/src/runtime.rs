@@ -1220,6 +1220,17 @@ pub(crate) fn unwrap_meta(image: &ProcessImage) -> Result<CrMeta, MetaError> {
     })
 }
 
+/// The dirty-page delta of `snap` over `rank`'s captured state, packed
+/// as a checkpoint image (round `round` of a live cycle).
+fn delta_image(
+    rank: u32,
+    meta: &CrMeta,
+    snap: &livemig::DirtySnapshot,
+    round: u32,
+) -> ProcessImage {
+    livemig::delta::encode(rank as u64, &wrap_meta(meta), &meta.segments, snap, round)
+}
+
 /// Build the BLCR image of `rank` from captured metadata.
 pub(crate) fn build_image(rank: u32, meta: &CrMeta) -> ProcessImage {
     let mut img = ProcessImage::new(rank as u64, wrap_meta(meta));
@@ -2444,31 +2455,20 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: Prec
     let blcr = &inner.cluster.node(m.source).blcr;
     for rank in ranks {
         let cr = inner.job.cr(rank);
-        let image = if m.round == 0 {
+        let snap = if m.round == 0 {
             // Arm *before* capturing: a write landing during the capture
             // is re-sent in round 1 — duplicated, never lost.
             cr.arm_dirty(live.cfg.page);
-            let meta = cr.capture_meta();
-            build_image(rank, &meta)
+            None
         } else {
-            match cr.take_dirty() {
-                Some(snap) => {
-                    let meta = cr.capture_meta();
-                    livemig::delta::encode(
-                        rank as u64,
-                        &wrap_meta(&meta),
-                        &meta.segments,
-                        &snap,
-                        m.round,
-                    )
-                }
-                None => {
-                    // Tracking vanished (rank restored elsewhere?): stream
-                    // the full image — correct, if not fast.
-                    let meta = cr.capture_meta();
-                    build_image(rank, &meta)
-                }
-            }
+            // `None` if tracking vanished (rank restored elsewhere?): then
+            // the full image streams — correct, if not fast.
+            cr.take_dirty()
+        };
+        let meta = cr.capture_meta();
+        let image = match snap {
+            Some(snap) => delta_image(rank, &meta, &snap, m.round),
+            None => build_image(rank, &meta),
         };
         let mut sink = pool.sink(ctx, rank, image.checksum());
         if blcr.try_checkpoint(ctx, &image, &mut sink).is_err() {
@@ -2920,14 +2920,14 @@ fn restart_one_rank(
 // C/R thread
 // ---------------------------------------------------------------------------
 
-fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>) {
+fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, rejoin: Option<Arc<MigCycle>>) {
     let inner = &rt.inner;
     let cr = inner.job.cr(rank);
     let node = inner.job.rank_node(rank);
     let ftb = FtbClient::connect(inner.cluster.ftb(), node, &format!("cr-r{rank}"));
     let sub = ftb.subscribe(&ctx.handle(), EventFilter::space(MPI_SPACE));
-    if let Some(cycle) = resume {
-        phase4(ctx, &rt, &cr, &cycle);
+    if let Some(cycle) = rejoin {
+        resume(ctx, &rt, &cr, &cycle.barrier, &cycle.resumed);
     }
     loop {
         let ev = sub.pop(ctx);
@@ -2976,24 +2976,15 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
                     // Phase 3 runs against the accumulator + residual
                     // merge, proving no dirty segment was lost.
                     let checksum = image.checksum();
-                    let image = match cycle.live.as_ref().filter(|l| l.cut_over()) {
-                        Some(live) => match cr.take_dirty() {
-                            Some(snap) => {
-                                cr.disarm_dirty();
-                                let round = live.rounds.load(Ordering::Relaxed);
-                                livemig::delta::encode(
-                                    rank as u64,
-                                    &wrap_meta(&meta),
-                                    &meta.segments,
-                                    &snap,
-                                    round,
-                                )
-                            }
-                            // Unknown dirty state: stream everything.
-                            None => image,
-                        },
-                        None => image,
-                    };
+                    let live = cycle.live.as_ref().filter(|l| l.cut_over());
+                    // Unknown dirty state: stream everything.
+                    let residual = live.and_then(|live| {
+                        let snap = cr.take_dirty()?;
+                        cr.disarm_dirty();
+                        let round = live.rounds.load(Ordering::Relaxed);
+                        Some(delta_image(rank, &meta, &snap, round))
+                    });
+                    let image = residual.unwrap_or(image);
                     let mut sink = pool.sink(ctx, rank, checksum);
                     let blcr = &inner.cluster.node(m.source).blcr;
                     if blcr.try_checkpoint(ctx, &image, &mut sink).is_err() {
@@ -3008,7 +2999,7 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
                     return;
                 } else {
                     cycle.restart_done.wait(ctx);
-                    phase4(ctx, &rt, &cr, &cycle);
+                    resume(ctx, &rt, &cr, &cycle.barrier, &cycle.resumed);
                 }
             }
             FTB_CHECKPOINT => {
@@ -3062,13 +3053,7 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, resume: Option<Arc<MigCycle>>
                     }
                 }
                 cycle.bytes.fetch_add(written, Ordering::Relaxed);
-                cycle.ckpt_done.arrive_and_wait(ctx);
-                // Resume.
-                cr.rebuild_endpoints(ctx, true);
-                ctx.sleep(rt.resume_overhead());
-                cr.reopen();
-                rt.rank_apply(ctx, rank, RankEvent::Resume);
-                cycle.resumed.arrive();
+                resume(ctx, &rt, &cr, &cycle.ckpt_done, &cycle.resumed);
             }
             _ => {}
         }
@@ -3093,13 +3078,19 @@ fn suspend_and_ack(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, cr: &mpisim::Ran
     );
 }
 
-/// Phase 4: the migration barrier, endpoint rebuild, and resume.
-fn phase4(ctx: &Ctx, rt: &JobRuntime, cr: &mpisim::RankCr, cycle: &Arc<MigCycle>) {
-    cycle.barrier.arrive_and_wait(ctx);
+/// Resume a rank (migration Phase 4, or the checkpoint's resume): the
+/// `barrier`, endpoint rebuild, reopen, and arrival at `resumed`.
+fn resume(
+    ctx: &Ctx,
+    rt: &JobRuntime,
+    cr: &mpisim::RankCr,
+    barrier: &Countdown,
+    resumed: &Countdown,
+) {
+    barrier.arrive_and_wait(ctx);
     cr.rebuild_endpoints(ctx, true);
     ctx.sleep(rt.resume_overhead());
     cr.reopen();
-    let rank = cr.rank();
-    rt.rank_apply(ctx, rank, RankEvent::Resume);
-    cycle.resumed.arrive();
+    rt.rank_apply(ctx, cr.rank(), RankEvent::Resume);
+    resumed.arrive();
 }
