@@ -2336,11 +2336,11 @@ fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
                 if m.source == node {
                     let (nla, ftb) = (nla.clone(), ftb.clone());
                     spawn_reaction(ctx, &rt, &cycle, format!("mig{}-src@{node}", m.cycle), {
-                        move |ctx, rt| source_side_phase2(ctx, rt, &nla, &ftb, m)
+                        move |ctx, rt, c| source_side_phase2(ctx, rt, c, &nla, &ftb)
                     });
                 } else if m.target == node {
                     spawn_reaction(ctx, &rt, &cycle, format!("mig{}-pull@{node}", m.cycle), {
-                        move |ctx, rt| target_side_pull(ctx, rt, m)
+                        move |ctx, rt, c| target_side_pull(ctx, rt, c)
                     });
                 }
             }
@@ -2355,13 +2355,13 @@ fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
                 let name = |side: &str| format!("mig{}-pre{}-{side}@{node}", m.cycle, m.round);
                 if m.source == node {
                     let nla = nla.clone();
-                    spawn_reaction(ctx, &rt, &cycle, name("src"), move |ctx, rt| {
-                        source_side_precopy(ctx, rt, &nla, m)
+                    spawn_reaction(ctx, &rt, &cycle, name("src"), move |ctx, rt, c| {
+                        source_side_precopy(ctx, rt, c, &nla, m.round)
                     });
                 } else if m.target == node {
                     let ftb = ftb.clone();
-                    spawn_reaction(ctx, &rt, &cycle, name("pull"), move |ctx, rt| {
-                        target_side_precopy(ctx, rt, &ftb, m)
+                    spawn_reaction(ctx, &rt, &cycle, name("pull"), move |ctx, rt, c| {
+                        target_side_precopy(ctx, rt, c, &ftb, m.round)
                     });
                 }
             }
@@ -2378,8 +2378,8 @@ fn nla_proc(ctx: &Ctx, rt: JobRuntime, node: NodeId) {
                 if r.target == node && cycle.claim_restart() {
                     let (r, nla, ftb) = (r.clone(), nla.clone(), ftb.clone());
                     let name = format!("mig{}-restart@{node}", r.cycle);
-                    spawn_reaction(ctx, &rt, &cycle, name, move |ctx, rt| {
-                        target_side_restart(ctx, rt, &nla, &ftb, r)
+                    spawn_reaction(ctx, &rt, &cycle, name, move |ctx, rt, c| {
+                        target_side_restart(ctx, rt, c, &nla, &ftb, r)
                     });
                 }
             }
@@ -2419,14 +2419,14 @@ fn admit(
 fn spawn_reaction(
     ctx: &Ctx,
     rt: &JobRuntime,
-    cycle: &MigCycle,
+    cycle: &Arc<MigCycle>,
     name: String,
-    body: impl FnOnce(&Ctx, &JobRuntime) + Send + 'static,
+    body: impl FnOnce(&Ctx, &JobRuntime, &Arc<MigCycle>) + Send + 'static,
 ) {
-    let (rt2, id) = (rt.clone(), cycle.id);
+    let (rt2, cycle2) = (rt.clone(), cycle.clone());
     let ph = ctx.spawn_daemon(&name, move |ctx| {
-        if rt2.mig_cycle(id).is_some_and(|c| !c.is_aborted()) {
-            body(ctx, &rt2);
+        if !cycle2.is_aborted() {
+            body(ctx, &rt2, &cycle2);
         }
     });
     cycle.track(ph);
@@ -2436,11 +2436,8 @@ fn spawn_reaction(
 /// it keeps running and stream it through a fresh per-round buffer pool —
 /// the full image at round 0 (arming dirty tracking first, so no write
 /// after the capture can be lost), a dirty-segment delta afterwards.
-fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: PrecopyMsg) {
+fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, cycle: &MigCycle, nla: &NlaShared, round: u32) {
     let inner = &rt.inner;
-    let Some(cycle) = rt.mig_cycle(m.cycle) else {
-        return;
-    };
     let Some(live) = &cycle.live else {
         return;
     };
@@ -2448,14 +2445,14 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: Prec
         return;
     };
     let ranks = nla.ranks.lock().clone();
-    let hca = inner.cluster.fabric().attach(m.source);
+    let hca = inner.cluster.fabric().attach(cycle.source);
     let (pool, ackloop) =
         TransferSession::from_config(cycle.pool).source(ctx, &hca, ranks.len() as u32, &rv);
     cycle.track(ackloop);
-    let blcr = &inner.cluster.node(m.source).blcr;
+    let blcr = &inner.cluster.node(cycle.source).blcr;
     for rank in ranks {
         let cr = inner.job.cr(rank);
-        let snap = if m.round == 0 {
+        let snap = if round == 0 {
             // Arm *before* capturing: a write landing during the capture
             // is re-sent in round 1 — duplicated, never lost.
             cr.arm_dirty(live.cfg.page);
@@ -2467,7 +2464,7 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: Prec
         };
         let meta = cr.capture_meta();
         let image = match snap {
-            Some(snap) => delta_image(rank, &meta, &snap, m.round),
+            Some(snap) => delta_image(rank, &meta, &snap, round),
             None => build_image(rank, &meta),
         };
         let mut sink = pool.sink(ctx, rank, image.checksum());
@@ -2477,8 +2474,8 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: Prec
             ctx.instant_with("ckpt", "precopy_dump_failed", || {
                 vec![
                     ("rank", rank.into()),
-                    ("cycle", m.cycle.into()),
-                    ("round", m.round.into()),
+                    ("cycle", cycle.id.into()),
+                    ("round", round.into()),
                 ]
             });
         }
@@ -2489,19 +2486,22 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, nla: &Arc<NlaShared>, m: Prec
 /// each rank's payload into its [`livemig::ImageAccumulator`] (paying
 /// parse + populate cost for exactly the pulled bytes — all overlapped
 /// with the running application) and report the round to the Job Manager.
-fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMsg) {
+fn target_side_precopy(
+    ctx: &Ctx,
+    rt: &JobRuntime,
+    cycle: &Arc<MigCycle>,
+    ftb: &FtbClient,
+    round: u32,
+) {
     let inner = &rt.inner;
-    let Some(cycle) = rt.mig_cycle(m.cycle) else {
-        return;
-    };
     let Some(live) = &cycle.live else {
         return;
     };
     let Some(rv) = live.round_rendezvous() else {
         return;
     };
-    let hca = inner.cluster.fabric().attach(m.target);
-    let res = inner.cluster.node(m.target);
+    let hca = inner.cluster.fabric().attach(cycle.target);
+    let res = inner.cluster.node(cycle.target);
     let store: Arc<dyn storesim::CkptStore> = Arc::new(res.fs.clone());
     let hooks = cycle.target_hooks(None);
     let report = |ok: bool, bytes: u64, pages: u64| {
@@ -2511,10 +2511,10 @@ fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMs
                 MPI_SPACE,
                 FTB_PRECOPY_DONE,
                 Severity::Info,
-                m.target,
+                cycle.target,
                 PrecopyDoneMsg {
-                    cycle: m.cycle,
-                    round: m.round,
+                    cycle: cycle.id,
+                    round,
                     ok,
                     bytes,
                     pages,
@@ -2527,15 +2527,15 @@ fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMs
         &hca,
         &rv,
         store,
-        &format!("mig.{}.pre{}", m.cycle, m.round),
+        &format!("mig.{}.pre{}", cycle.id, round),
         hooks,
     ) {
         Ok(r) => r,
         Err(abort) => {
             ctx.instant_with("pool", "precopy_pull_aborted", || {
                 vec![
-                    ("cycle", m.cycle.into()),
-                    ("round", m.round.into()),
+                    ("cycle", cycle.id.into()),
+                    ("round", round.into()),
                     ("reason", abort.reason.into()),
                 ]
             });
@@ -2587,16 +2587,13 @@ fn target_side_precopy(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient, m: PrecopyMs
 fn source_side_phase2(
     ctx: &Ctx,
     rt: &JobRuntime,
-    nla: &Arc<NlaShared>,
+    cycle: &MigCycle,
+    nla: &NlaShared,
     ftb: &FtbClient,
-    m: MigrateMsg,
 ) {
     let inner = &rt.inner;
-    let Some(cycle) = rt.mig_cycle(m.cycle) else {
-        return;
-    };
     let nlocal = nla.ranks.lock().len() as u32;
-    let hca = inner.cluster.fabric().attach(m.source);
+    let hca = inner.cluster.fabric().attach(cycle.source);
     let (pool, ackloop) =
         TransferSession::from_config(cycle.pool).source(ctx, &hca, nlocal, &cycle.rendezvous);
     cycle.track(ackloop);
@@ -2611,9 +2608,9 @@ fn source_side_phase2(
             MPI_SPACE,
             FTB_MIGRATE_PIIC,
             Severity::Info,
-            m.source,
+            cycle.source,
             PiicMsg {
-                cycle: m.cycle,
+                cycle: cycle.id,
                 ranks: moved,
                 bytes_moved: pool.bytes_streamed(),
             },
@@ -2624,13 +2621,10 @@ fn source_side_phase2(
 
 /// Target NLA, Phase 2 (receiving side): pull chunks and assemble images
 /// into buffered temp files on the local filesystem.
-fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
+fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, cycle: &Arc<MigCycle>) {
     let inner = &rt.inner;
-    let Some(cycle) = rt.mig_cycle(m.cycle) else {
-        return;
-    };
-    let hca = inner.cluster.fabric().attach(m.target);
-    let store: Arc<dyn storesim::CkptStore> = Arc::new(inner.cluster.node(m.target).fs.clone());
+    let hca = inner.cluster.fabric().attach(cycle.target);
+    let store: Arc<dyn storesim::CkptStore> = Arc::new(inner.cluster.node(cycle.target).fs.clone());
     // As each rank's image finishes assembly the pool hands it over here,
     // and the per-rank `rank_ready` event releases that rank's restart
     // worker — in overlap mode, while other ranks are still streaming.
@@ -2662,7 +2656,7 @@ fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
         &hca,
         &cycle.rendezvous,
         store,
-        &format!("mig.{}", m.cycle),
+        &format!("mig.{}", cycle.id),
         hooks,
     ) {
         Ok(result) => {
@@ -2674,7 +2668,7 @@ fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
             // deadline aborts the cycle and retries or degrades.
             ctx.instant_with("pool", "pull_aborted", || {
                 vec![
-                    ("cycle", m.cycle.into()),
+                    ("cycle", cycle.id.into()),
                     ("reason", abort.reason.into()),
                     ("rank", abort.rank.map(u64::from).unwrap_or(u64::MAX).into()),
                     ("lane", u64::from(abort.lane).into()),
@@ -2689,14 +2683,12 @@ fn target_side_pull(ctx: &Ctx, rt: &JobRuntime, m: MigrateMsg) {
 fn target_side_restart(
     ctx: &Ctx,
     rt: &JobRuntime,
-    nla: &Arc<NlaShared>,
+    cycle: &Arc<MigCycle>,
+    nla: &NlaShared,
     ftb: &FtbClient,
     r: RestartMsg,
 ) {
     let inner = &rt.inner;
-    let Some(cycle) = rt.mig_cycle(r.cycle) else {
-        return;
-    };
     let overlap = cycle.pool.overlap;
     if !overlap {
         // Barrier mode (the paper's protocol): no rank restarts until the
