@@ -382,17 +382,6 @@ impl LiveState {
         }
     }
 
-    /// Install the rendezvous for the next round (Job Manager, before the
-    /// `FTB_PRECOPY` publish).
-    fn begin_round(&self, rv: PoolRendezvous) {
-        *self.round_rv.lock() = Some(rv);
-    }
-
-    /// The current round's rendezvous (NLA reaction side).
-    fn round_rendezvous(&self) -> Option<PoolRendezvous> {
-        self.round_rv.lock().clone()
-    }
-
     /// Whether the controller has cut over to the residual round.
     pub fn cut_over(&self) -> bool {
         self.cutover.load(Ordering::Relaxed)
@@ -1270,13 +1259,8 @@ fn pop_until<T>(
     loop {
         let ev = match deadline {
             None => sub.pop(ctx),
-            Some(d) => {
-                let now = ctx.now();
-                if now >= d {
-                    return None;
-                }
-                sub.pop_timeout(ctx, d - now)?
-            }
+            Some(d) if ctx.now() >= d => return None,
+            Some(d) => sub.pop_timeout(ctx, d - ctx.now())?,
         };
         if let Some(hit) = want(&ev) {
             return Some(hit);
@@ -1324,23 +1308,12 @@ fn wait_ack(ctx: &Ctx, sub: &Queue<FtbEvent>, name: &str, cycle: u64, deadline: 
 
 /// Wait for `ev` with a virtual-time deadline.
 fn wait_event_until(ctx: &Ctx, ev: &Event, deadline: SimTime) -> bool {
-    if ev.is_set() {
-        return true;
-    }
-    let now = ctx.now();
-    if now >= deadline {
-        return false;
-    }
-    ev.wait_timeout(ctx, deadline - now)
+    ev.is_set() || (ctx.now() < deadline && ev.wait_timeout(ctx, deadline - ctx.now()))
 }
 
 /// Wait for `cd` with a virtual-time deadline.
 fn wait_countdown_until(ctx: &Ctx, cd: &Countdown, deadline: SimTime) -> bool {
-    let now = ctx.now();
-    if now >= deadline {
-        return false;
-    }
-    cd.wait_timeout(ctx, deadline - now)
+    ctx.now() < deadline && cd.wait_timeout(ctx, deadline - ctx.now())
 }
 
 /// Account a finished migration trigger: outcome counter, report, and
@@ -1421,27 +1394,20 @@ fn run_migration(
         // "spare available" answer must come from one atomic pool
         // operation. `spares_left` reports the pre-lease count.
         let attempts_left = rec.max_attempts.saturating_sub(attempt);
-        let lease = if attempts_left > 0 {
-            inner.pool.lease_at(inner.job_id, epoch)
-        } else {
-            None
-        };
+        let lease = (attempts_left > 0)
+            .then(|| inner.pool.lease_at(inner.job_id, epoch))
+            .flatten();
         let g = GuardCtx {
-            spares_left: match lease {
-                Some(_) => inner.pool.available() as u32 + 1,
-                None => 0,
-            },
+            spares_left: lease.map_or(0, |_| inner.pool.available() as u32 + 1),
             attempts_left,
         };
-        if proto_step(ctx, &mut stepper, begin, &g).is_err() {
+        // The guard admits only with a lease in hand.
+        let admitted = proto_step(ctx, &mut stepper, begin, &g).is_ok();
+        let Some(target) = lease.filter(|_| admitted) else {
             // RetryPath rejected: no spare or no budget — degrade below.
             if let Some(n) = lease {
                 inner.pool.release_front_at(n, inner.job_id, epoch);
             }
-            break;
-        }
-        let Some(target) = lease else {
-            // Unreachable: the guard admits only with a lease in hand.
             break;
         };
         attempt += 1;
@@ -1511,11 +1477,10 @@ fn run_migration(
     };
     proto_step(ctx, &mut stepper, CycleEvent::Degrade, &g) // jmlint: allow(hot_unwrap) — spec invariant trap
         .expect("Degrade must be enabled when the retry guard rejects");
-    let store = if inner.cluster.pvfs().is_some() {
-        CrStoreKind::Pvfs
-    } else {
-        CrStoreKind::LocalExt3
-    };
+    let store = inner
+        .cluster
+        .pvfs()
+        .map_or(CrStoreKind::LocalExt3, |_| CrStoreKind::Pvfs);
     ctx.instant_with("log", "migration_fallback_cr", || {
         vec![
             ("source", source.0.into()),
@@ -1813,7 +1778,7 @@ impl Attempt<'_, '_> {
             // Each round is one self-contained TransferSession; a fresh
             // rendezvous keeps a straggler from a failed round from
             // pairing with the next round's pool.
-            live.begin_round(PoolRendezvous::new(inner.cluster.handle()));
+            *live.round_rv.lock() = Some(PoolRendezvous::new(inner.cluster.handle()));
             let r0 = ctx.now();
             self.ftb.publish(
                 ctx,
@@ -2124,7 +2089,8 @@ fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
     let inner = &rt.inner;
     let epoch = inner.epoch.fetch_add(1, Ordering::Relaxed) + 1;
     let adopted = inner.pool.fence(inner.job_id, epoch) as u64;
-    let fl = inner.journal.in_flight();
+    let journal = &inner.journal;
+    let fl = journal.in_flight();
     let in_flight_cycle = fl.as_ref().map(|f| f.cycle).unwrap_or(0);
     ctx.instant_with("wal", "takeover", || {
         vec![
@@ -2156,9 +2122,7 @@ fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
         if let Some((node, _)) = fl.lease {
             inner.pool.release_front_at(node, inner.job_id, epoch);
         }
-        inner
-            .journal
-            .append(WalRecord::Rollback { cycle: fl.cycle });
+        journal.append(WalRecord::Rollback { cycle: fl.cycle });
         let outcome = MigrationOutcome::RolledBackByStandby;
         settle_standby_outcome(ctx, rt, &fl, fl.source, outcome, None);
         return;
@@ -2213,9 +2177,7 @@ fn takeover(ctx: &Ctx, rt: &JobRuntime, ftb: &FtbClient) {
         standby_rollback(ctx, rt, &cycle, &fl, epoch, adjusted);
         return;
     }
-    inner
-        .journal
-        .append(WalRecord::CommitPoint { cycle: fl.cycle });
+    journal.append(WalRecord::CommitPoint { cycle: fl.cycle });
     roll_forward(ctx, rt, &cycle, &fl, epoch, &rec);
 }
 
@@ -2264,11 +2226,9 @@ fn standby_rollback(
     epoch: u64,
     tree_adjusted: bool,
 ) {
-    let inner = &rt.inner;
+    let (inner, journal) = (&rt.inner, &rt.inner.journal);
     if !fl.rolling_back {
-        inner
-            .journal
-            .append(WalRecord::Rollback { cycle: fl.cycle });
+        journal.append(WalRecord::Rollback { cycle: fl.cycle });
     }
     abort_cycle(ctx, rt, cycle, "coordinator_crash", tree_adjusted);
     if let Some((node, _)) = fl.lease {
@@ -2296,9 +2256,8 @@ fn settle_standby_outcome(
         ..MigrationReport::unclocked(fl.cycle, fl.source, target, outcome, fl.attempt)
     };
     settle_report(ctx, rt, report);
-    rt.inner
-        .journal
-        .append(WalRecord::CycleEnd { cycle: fl.cycle });
+    let journal = &rt.inner.journal;
+    journal.append(WalRecord::CycleEnd { cycle: fl.cycle });
 }
 
 // ---------------------------------------------------------------------------
@@ -2441,7 +2400,7 @@ fn source_side_precopy(ctx: &Ctx, rt: &JobRuntime, cycle: &MigCycle, nla: &NlaSh
     let Some(live) = &cycle.live else {
         return;
     };
-    let Some(rv) = live.round_rendezvous() else {
+    let Some(rv) = live.round_rv.lock().clone() else {
         return;
     };
     let ranks = nla.ranks.lock().clone();
@@ -2497,7 +2456,7 @@ fn target_side_precopy(
     let Some(live) = &cycle.live else {
         return;
     };
-    let Some(rv) = live.round_rendezvous() else {
+    let Some(rv) = live.round_rv.lock().clone() else {
         return;
     };
     let hca = inner.cluster.fabric().attach(cycle.target);
@@ -3016,34 +2975,27 @@ fn cr_thread(ctx: &Ctx, rt: JobRuntime, rank: u32, rejoin: Option<Arc<MigCycle>>
                 // Bounded-retry dump: a failed write restarts the file
                 // from scratch; if the budget runs out the job still
                 // resumes (without a usable checkpoint for this rank).
-                let mut written = 0;
                 let mut tries = 0u32;
-                loop {
+                let written = loop {
                     let mut sink = blcrsim::StoreSink::new(store.clone(), path.clone(), true);
-                    match blcr.try_checkpoint(ctx, &image, &mut sink) {
-                        Ok(w) => {
-                            written = w;
-                            break;
-                        }
-                        Err(e) => {
-                            tries += 1;
-                            ctx.instant_with("ckpt", "dump_retry", || {
-                                vec![
-                                    ("rank", rank.into()),
-                                    ("try", tries.into()),
-                                    ("error", e.to_string().into()),
-                                ]
-                            });
-                            if tries >= rec.max_attempts {
-                                ctx.instant_with("ckpt", "dump_failed", || {
-                                    vec![("rank", rank.into())]
-                                });
-                                break;
-                            }
-                            ctx.sleep(rec.backoff_delay(tries + 1));
-                        }
+                    let e = match blcr.try_checkpoint(ctx, &image, &mut sink) {
+                        Ok(w) => break w,
+                        Err(e) => e,
+                    };
+                    tries += 1;
+                    ctx.instant_with("ckpt", "dump_retry", || {
+                        vec![
+                            ("rank", rank.into()),
+                            ("try", tries.into()),
+                            ("error", e.to_string().into()),
+                        ]
+                    });
+                    if tries >= rec.max_attempts {
+                        ctx.instant_with("ckpt", "dump_failed", || vec![("rank", rank.into())]);
+                        break 0;
                     }
-                }
+                    ctx.sleep(rec.backoff_delay(tries + 1));
+                };
                 cycle.bytes.fetch_add(written, Ordering::Relaxed);
                 resume(ctx, &rt, &cr, &cycle.ckpt_done, &cycle.resumed);
             }
