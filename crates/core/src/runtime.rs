@@ -1594,10 +1594,9 @@ impl Attempt<'_, '_> {
         };
         self.enter_phase(phase)?;
         let t0 = self.ctx.now();
-        let opened = match phase {
-            MigPhase::Restart => self.restart_span.take(),
-            _ => None,
-        };
+        let opened = (phase == MigPhase::Restart)
+            .then(|| self.restart_span.take())
+            .flatten();
         self.span = Some(opened.unwrap_or_else(|| self.open_span(phase.name())));
         let ok = run(self, t0 + timeout);
         if let Some(span) = self.span.take() {
@@ -1640,20 +1639,11 @@ impl Attempt<'_, '_> {
     /// Rewire the spawn tree and broadcast the restart; with `open_span`
     /// the restart span opens right before the broadcast.
     fn restart(&mut self, open_span: bool) {
+        let (ctx, rt, ftb, epoch) = (self.ctx, self.rt, self.ftb, self.epoch);
         let mut span = None;
-        restart_broadcast(
-            self.ctx,
-            self.rt,
-            self.ftb,
-            &self.cycle,
-            self.epoch,
-            true,
-            || {
-                if open_span {
-                    span = Some(self.open_span("restart"));
-                }
-            },
-        );
+        restart_broadcast(ctx, rt, ftb, &self.cycle, epoch, true, || {
+            span = open_span.then(|| self.open_span("restart"));
+        });
         self.tree_adjusted = true;
         self.restart_span = span;
     }
