@@ -1565,7 +1565,7 @@ impl Attempt<'_, '_> {
             .is_some_and(|p| p.take_spare_crash(phase, self.attempt))
         {
             kill_spare(self.ctx, self.rt, self.cycle.target);
-            return Err(self.abort(CycleEvent::SpareCrash, "spare_crash", false));
+            return self.abort(CycleEvent::SpareCrash, "spare_crash", false);
         }
         self.rt.inner.journal.append(WalRecord::PhaseEnter {
             cycle: self.cycle.id,
@@ -1604,7 +1604,7 @@ impl Attempt<'_, '_> {
         }
         if !ok {
             let reason = format!("{}_timeout", phase.name());
-            return Err(self.abort(CycleEvent::PhaseTimeout, &reason, true));
+            return self.abort(CycleEvent::PhaseTimeout, &reason, true);
         }
         let _ = proto_step(self.ctx, self.stepper, done, &ALWAYS);
         Ok(self.ctx.now() - t0)
@@ -1614,8 +1614,8 @@ impl Attempt<'_, '_> {
     /// effect (`event` is [`CycleEvent::PhaseTimeout`] or
     /// [`CycleEvent::SpareCrash`]), roll the ranks back to the source, and
     /// settle the lease — back to the pool's front if the spare survived
-    /// (a retry reuses it), discarded if it died.
-    fn abort(&mut self, event: CycleEvent, reason: &str, spare_alive: bool) {
+    /// (a retry reuses it), discarded if it died. Always `Err`.
+    fn abort<T>(&mut self, event: CycleEvent, reason: &str, spare_alive: bool) -> Result<T, ()> {
         let inner = &self.rt.inner;
         let (id, target) = (self.cycle.id, self.cycle.target);
         inner.journal.append(WalRecord::Rollback { cycle: id });
@@ -1634,6 +1634,7 @@ impl Attempt<'_, '_> {
         if let Some(span) = self.restart_span.take() {
             span.end();
         }
+        Err(())
     }
 
     /// Rewire the spawn tree and broadcast the restart; with `open_span`

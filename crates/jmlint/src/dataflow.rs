@@ -15,7 +15,7 @@
 //! loudly rather than silently weakening the contract.
 
 use crate::lexer::SourceFile;
-use crate::parse::{self, CallSite};
+use crate::parse::{self, CallSite, FnItem};
 use crate::Finding;
 
 /// The coordinator hot file these contracts are scoped to.
@@ -77,36 +77,99 @@ fn wal_append(call: &CallSite) -> bool {
     call.callee == "append" && call.args.trim_start().starts_with("WalRecord::")
 }
 
+/// Functions that journal on their caller's behalf: each puts its WAL
+/// record on the journal before it runs its effect, so a call to one
+/// counts as a preceding append for the caller's effects — including
+/// the effects inside a closure handed to it.
+///
+/// - `enter_phase`: the `PhaseEnter` record every protocol phase (and
+///   the pre-copy rounds) starts with;
+/// - `phase`: the coordinator's phase step, which enters the phase and
+///   then runs the effect closure it is given;
+/// - `restart_broadcast`: the `NlaRewire` record, then the
+///   `FTB_RESTART` publish.
+///
+/// Their own bodies are held to the contract: a journaling call must
+/// precede their first effect, where calling one of their closure
+/// parameters (`name: impl Fn…`) counts as an effect too.
+const JOURNALING_SITES: &[&str] = &["enter_phase", "phase", "restart_broadcast"];
+
+/// Does this call put a record on the journal, itself or through a
+/// journaling site? Journaling sites always take arguments, so a bare
+/// accessor of the same name (`stepper.phase()`) does not count.
+fn journals(call: &CallSite) -> bool {
+    wal_append(call)
+        || (JOURNALING_SITES.contains(&call.callee.as_str()) && !call.args.trim().is_empty())
+}
+
+/// Names of a function's closure parameters (`name: impl Fn…` in its
+/// declaration; `where`-clause bounds are not recognized).
+fn closure_params(f: &FnItem) -> Vec<String> {
+    let decl = f.body.split('{').next().unwrap_or("");
+    decl.match_indices(": impl Fn")
+        .filter_map(|(at, _)| {
+            let head = &decl[..at];
+            let start = head
+                .char_indices()
+                .rev()
+                .take_while(|&(_, c)| is_ident_char(c))
+                .last()?
+                .0;
+            Some(head[start..].to_string())
+        })
+        .collect()
+}
+
 /// `wal_before_effect`: every externally visible coordinator side
-/// effect must be preceded, within the same function, by a WAL append —
-/// write-ahead means the standby can always reconstruct intent.
+/// effect must be preceded, within the same function, by a WAL append
+/// or a call to a journaling site — write-ahead means the standby can
+/// always reconstruct intent. A journaling site's own effect closure must
+/// likewise run after its append, and a journaling site that never
+/// journals is flagged (its callers' effects would go unrecorded).
 pub fn wal_before_effect(src: &SourceFile, out: &mut Vec<Finding>) {
     if !in_scope(src) {
         return;
     }
     for f in parse::functions(src) {
+        let site = JOURNALING_SITES.contains(&f.name.as_str());
+        let params = if site { closure_params(&f) } else { Vec::new() };
+        let mut flag = |line: usize, message: String| {
+            out.push(Finding {
+                path: src.path.clone(),
+                line,
+                rule: "wal_before_effect",
+                message,
+            })
+        };
         for (i, call) in f.calls.iter().enumerate() {
-            if !journaled_effect(call) {
-                continue;
-            }
-            if f.calls[..i].iter().any(wal_append) {
+            let closure = params.contains(&call.callee);
+            if !(journaled_effect(call) || closure) || f.calls[..i].iter().any(journals) {
                 continue;
             }
             let what = match call.callee.as_str() {
+                _ if closure => format!("effect closure `{}`", call.callee),
                 "publish" => "fenced command publish".to_string(),
                 c => format!("terminal lease settlement `{c}`"),
             };
-            out.push(Finding {
-                path: src.path.clone(),
-                line: call.line,
-                rule: "wal_before_effect",
-                message: format!(
+            flag(
+                call.line,
+                format!(
                     "{what} in `{}` with no preceding `append(WalRecord::…)` — a \
                      coordinator crash here leaves an effect the standby cannot \
                      see in the journal; record intent first",
                     f.name
                 ),
-            });
+            );
+        }
+        if site && !f.calls.iter().any(journals) {
+            flag(
+                f.line,
+                format!(
+                    "journaling site `{}` never appends a WAL record — its \
+                     callers' effects would go unrecorded",
+                    f.name
+                ),
+            );
         }
     }
 }
@@ -259,6 +322,59 @@ mod tests {
     }
 
     #[test]
+    fn journaling_sites_stand_in_for_appends_and_are_checked() {
+        // A call to the phase step journals for the effect in its closure.
+        let caller = "fn go() {\n\
+                      \x20   self.phase(P, |a, d| {\n\
+                      \x20       a.ftb.publish(ctx, FtbEvent::with_payload(S, FTB_MIGRATE, m));\n\
+                      \x20       true\n\
+                      \x20   });\n\
+                      \x20   restart_broadcast(ctx, c, true, || {});\n\
+                      \x20   pool.consume_at(n, job, epoch);\n\
+                      }\n";
+        assert!(run(wal_before_effect, RT, caller).is_empty());
+
+        // The phase step itself must journal before it runs the effect.
+        let bad = "fn phase(&mut self, p: P, run: impl FnOnce(&mut Self) -> bool) -> bool {\n\
+                   \x20   let ok = run(self);\n\
+                   \x20   self.enter_phase(p);\n\
+                   \x20   ok\n\
+                   }\n";
+        let f = run(wal_before_effect, RT, bad);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 2);
+        assert!(f[0].message.contains("effect closure `run`"));
+        let good = bad
+            .replace("let ok = run(self);", "let ok = true;")
+            .replace(
+                "self.enter_phase(p);",
+                "self.enter_phase(p); let ok = ok && run(self);",
+            );
+        assert!(run(wal_before_effect, RT, &good).is_empty());
+
+        // The restart broadcast must record the rewire before both its
+        // hook and its publish.
+        let bad = "fn restart_broadcast(journal: bool, before_publish: impl FnOnce()) {\n\
+                   \x20   before_publish();\n\
+                   \x20   ftb.publish(ctx, FtbEvent::with_payload(S, FTB_RESTART, m));\n\
+                   \x20   if journal { j.append(WalRecord::NlaRewire { cycle }); }\n\
+                   }\n";
+        let lines: Vec<usize> = run(wal_before_effect, RT, bad)
+            .iter()
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(lines, [2, 3]);
+
+        // A journaling site that never journals is flagged on its own.
+        let hollow = "fn enter_phase(&mut self) {\n\
+                      \x20   self.ctx.check_killed();\n\
+                      }\n";
+        let f = run(wal_before_effect, RT, hollow);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].line, 1);
+    }
+
+    #[test]
     fn epoch_fence_send_side_requires_the_stamp() {
         let bad = "fn go() {\n\
                    \x20   ftb.publish(ctx, FtbEvent::with_payload(S, FTB_RESTART,\n\
@@ -301,20 +417,60 @@ mod tests {
     fn calibrated_against_the_live_runtime() {
         // If the parser regressed and stopped seeing the coordinator's
         // call sites, every dataflow rule would pass vacuously. Pin the
-        // census: the live runtime has (at least) the four fenced
-        // command publishes, two `consume_at`, one `discard_at`, and a
-        // journal full of appends — and satisfies all three contracts.
+        // exact census of journaled effects, WAL appends (by record) and
+        // journaling-site calls, so losing — or duplicating — any one
+        // site fails: each fenced command is published at one site, each
+        // phase entry is appended at one site. The live runtime must
+        // also satisfy all three contracts.
         let text = include_str!("../../core/src/runtime.rs");
         let src = SourceFile::parse(Path::new("crates/core/src/runtime.rs"), text);
         let fns = parse::functions(&src);
-        let all: Vec<&CallSite> = fns.iter().flat_map(|f| &f.calls).collect();
-        let effects = all.iter().filter(|c| journaled_effect(c)).count();
-        assert!(
-            effects >= 7,
-            "parser lost coordinator effect sites: {effects}"
+        let mut census = std::collections::BTreeMap::<String, usize>::new();
+        for c in fns.iter().flat_map(|f| &f.calls) {
+            let key = if wal_append(c) {
+                let record = c.args.trim_start()["WalRecord::".len()..]
+                    .split(|ch: char| !is_ident_char(ch))
+                    .next()
+                    .unwrap_or_default();
+                format!("append {record}")
+            } else if c.callee == "publish" && journaled_effect(c) {
+                let cmd = ["FTB_MIGRATE", "FTB_RESTART"]
+                    .into_iter()
+                    .find(|cmd| contains_word(&c.args, cmd))
+                    .unwrap_or_default();
+                format!("publish {cmd}")
+            } else if journals(c) || journaled_effect(c) {
+                c.callee.clone()
+            } else {
+                continue;
+            };
+            *census.entry(key).or_default() += 1;
+        }
+        let census: Vec<(&str, usize)> = census.iter().map(|(k, n)| (k.as_str(), *n)).collect();
+        assert_eq!(
+            census,
+            [
+                ("append CommitPoint", 2),
+                ("append CycleEnd", 3),
+                ("append CycleStart", 1),
+                ("append LeaseAcquire", 1),
+                ("append LeaseCommit", 2),
+                ("append NlaRewire", 1),
+                ("append PhaseEnter", 1),
+                ("append PrecopyRound", 1),
+                ("append RankImageReady", 1),
+                ("append RankRestarted", 1),
+                ("append Rollback", 3),
+                ("consume_at", 2),
+                ("discard_at", 1),
+                ("enter_phase", 2),
+                ("phase", 4),
+                ("publish FTB_MIGRATE", 1),
+                ("publish FTB_RESTART", 1),
+                ("restart_broadcast", 2),
+            ],
+            "coordinator journaling census changed"
         );
-        let appends = all.iter().filter(|c| wal_append(c)).count();
-        assert!(appends >= 10, "parser lost WAL appends: {appends}");
         for rule in [wal_before_effect, epoch_fence, lease_settle_once] {
             let mut out = Vec::new();
             rule(&src, &mut out);

@@ -32,9 +32,11 @@
 //!
 //! - `wal_before_effect` — an externally visible coordinator side
 //!   effect (`FTB_MIGRATE`/`FTB_RESTART` publish, terminal lease
-//!   settlement) with no WAL `append(WalRecord::…)` earlier in the same
-//!   function: a crash there would leave the standby blind to the
-//!   effect.
+//!   settlement) with no WAL `append(WalRecord::…)` — or call to a
+//!   journaling site (the phase step, the restart broadcast) — earlier
+//!   in the same function: a crash there would leave the standby blind
+//!   to the effect. The journaling sites' own bodies must append before
+//!   their effect, including the effect closure they are handed.
 //! - `epoch_fence` — a fenced command published without an `epoch`
 //!   stamp, or a command receive path that decodes
 //!   `MigrateMsg`/`RestartMsg` without consulting `fencing_epoch`.
