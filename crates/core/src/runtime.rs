@@ -1588,9 +1588,8 @@ impl Attempt<'_, '_> {
             MigPhase::Stall => (self.rec.stall_timeout, CycleEvent::StallDone),
             MigPhase::Migrate => (self.rec.migrate_timeout, CycleEvent::MigrateDone),
             MigPhase::Restart => (self.rec.restart_timeout, CycleEvent::RestartDone),
-            MigPhase::Resume | MigPhase::Precopy => {
-                (self.rec.resume_timeout, CycleEvent::ResumeDone)
-            }
+            MigPhase::Resume => (self.rec.resume_timeout, CycleEvent::ResumeDone),
+            MigPhase::Precopy => unreachable!("pre-copy rounds carry their own deadlines"),
         };
         self.enter_phase(phase)?;
         let t0 = self.ctx.now();
