@@ -157,8 +157,8 @@ impl MigrationTuning {
     /// Iterative pre-copy live migration on top of the pipelined data
     /// path: round 0 streams the full image over the striped lanes while
     /// the ranks keep running, later rounds stream only dirtied segments,
-    /// and the convergence controller (downtime-budget policy by default)
-    /// decides when to suspend for a short residual stop-and-copy.
+    /// and the downtime-budget convergence controller decides when to
+    /// suspend for a short residual stop-and-copy.
     pub fn live() -> Self {
         let mut t = Self::pipelined();
         t.pool.live = Some(livemig::LiveConfig::default());
