@@ -7,6 +7,11 @@
 //! same FNV digest over the full trace stream), and every link's completed
 //! bytes must equal the sum of the bytes of the flows that completed on
 //! it: a killed flow carries nothing, a finished one its whole size.
+//!
+//! The same schedules, drawn with a fixed seed, also feed a golden digest,
+//! and fixed cases pin exact completion instants for same-instant kills,
+//! same-nanosecond completions and same-instant starts: how FlowNet arms
+//! its wakes may change only if none of these moves.
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
@@ -126,4 +131,237 @@ proptest! {
         }
         prop_assert_eq!(&first.link_bytes, &expect);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Pinned behaviour: goldens recorded from the retime-every-flow FlowNet.
+//
+// Every value below is exact (nanoseconds, FNV digests). They pin the
+// modelled behaviour, so a change to how FlowNet arms its timers must
+// leave them untouched; only a deliberate model change may re-record
+// them, and it must say which behaviour moved.
+
+/// Fold one digest into an accumulator (FNV-1a over its bytes).
+fn fold(acc: &mut TraceDigest, d: TraceDigest) {
+    for b in d
+        .hash
+        .to_le_bytes()
+        .into_iter()
+        .chain(d.events.to_le_bytes())
+    {
+        acc.hash ^= u64::from(b);
+        acc.hash = acc.hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    acc.events += d.events;
+}
+
+/// Digest over 64 random schedules drawn from the property's strategies
+/// with a fixed seed: staggered starts, shared links, mid-flight kills.
+const GOLDEN_RANDOM_SCHEDULES: (u64, u64) = (15076899551836887341, 1011);
+
+#[test]
+fn random_schedules_match_golden_digest() {
+    use proptest::strategy::Strategy;
+    let mut rng = proptest::TestRng::from_seed(0xF10E_7E7);
+    let caps = proptest::collection::vec(1u64..1000, 1..5);
+    let flows = proptest::collection::vec(flow_strategy(), 1..10);
+    let mut acc = TraceDigest {
+        hash: 0xcbf2_9ce4_8422_2325,
+        events: 0,
+    };
+    for _ in 0..64 {
+        let caps: Vec<f64> = caps
+            .generate(&mut rng)
+            .iter()
+            .map(|m| *m as f64 * 1e6)
+            .collect();
+        let flows = flows.generate(&mut rng);
+        fold(&mut acc, run_schedule(&caps, &flows).digest);
+    }
+    assert_eq!(
+        (acc.hash, acc.events),
+        GOLDEN_RANDOM_SCHEDULES,
+        "random-schedule digest moved (got {:?})",
+        acc
+    );
+}
+
+/// What a fixed case observed: (label, ns) in the order things happened,
+/// and the trace digest.
+type Log = Arc<Mutex<Vec<(String, u64)>>>;
+
+fn mark(log: &Log, label: &str, ctx: &simkit::Ctx) {
+    log.lock().push((label.to_string(), ctx.now().as_nanos()));
+}
+
+/// Spawn `name`, which sleeps `start`, moves `bytes` over `path`, and
+/// logs its completion.
+fn spawn_flow(
+    sim: &Simulation,
+    log: &Log,
+    net: &FlowNet,
+    name: &str,
+    start: Duration,
+    path: Vec<simkit::LinkId>,
+    bytes: u64,
+) -> simkit::ProcHandle {
+    let (log, net, label) = (Arc::clone(log), net.clone(), name.to_string());
+    sim.spawn(name, move |ctx| {
+        if !start.is_zero() {
+            ctx.sleep(start);
+        }
+        net.transfer(ctx, &path, bytes);
+        mark(&log, &label, ctx);
+    })
+}
+
+/// Spawn a watcher that logs the instant `target` dies, however it dies.
+fn watch_death(sim: &Simulation, log: &Log, target: &simkit::ProcHandle, label: &str) {
+    let (log, target, label) = (Arc::clone(log), target.clone(), label.to_string());
+    sim.spawn(&format!("watch-{label}"), move |ctx| {
+        ctx.join(&target);
+        mark(&log, &label, ctx);
+    });
+}
+
+fn digesting_sim() -> (Simulation, Log) {
+    let sim = Simulation::new(7);
+    sim.handle().tracer().set_digest_enabled(true);
+    (sim, Arc::new(Mutex::new(Vec::new())))
+}
+
+fn finish(mut sim: Simulation, log: Log) -> (Vec<(String, u64)>, (u64, u64)) {
+    sim.run().unwrap();
+    let d = sim.handle().tracer().digest();
+    let log = log.lock().clone();
+    (log, (d.hash, d.events))
+}
+
+fn owned(v: &[(&str, u64)]) -> Vec<(String, u64)> {
+    v.iter().map(|(s, t)| (s.to_string(), *t)).collect()
+}
+
+/// Two transfer owners killed at the same instant, where the second is
+/// not the earliest completion. The first unwinds at once; its departure
+/// recompute retimes every owner, which replaces the second owner's kill
+/// wake with its completion-time wake, so the second keeps its bandwidth
+/// share until that wake fires.
+#[test]
+fn two_owners_killed_at_one_instant() {
+    let (sim, log) = digesting_sim();
+    let net = FlowNet::new(&sim.handle());
+    let l = net.add_link("l", 100e6, Sharing::Fair);
+    let v1 = spawn_flow(&sim, &log, &net, "v1", Duration::ZERO, vec![l], 100_000_000);
+    let v2 = spawn_flow(&sim, &log, &net, "v2", Duration::ZERO, vec![l], 300_000_000);
+    spawn_flow(&sim, &log, &net, "bg", Duration::ZERO, vec![l], 100_000_000);
+    watch_death(&sim, &log, &v1, "v1-dead");
+    watch_death(&sim, &log, &v2, "v2-dead");
+    sim.spawn("killer", move |ctx| {
+        ctx.sleep(Duration::from_millis(300));
+        v1.kill();
+        v2.kill();
+    });
+    let (got, digest) = finish(sim, log);
+    assert_eq!(
+        got,
+        owned(&[
+            ("v1-dead", 300_000_000),
+            ("bg", 2_100_000_000),
+            ("v2-dead", 4_100_000_000),
+        ])
+    );
+    assert_eq!(digest, (16949712861421588738, 14));
+}
+
+/// Equal-size flows on disjoint links, and on one shared link, complete
+/// in the same nanosecond; a sleeper due at that instant too pins where
+/// it falls among them.
+#[test]
+fn same_nanosecond_completions() {
+    let (sim, log) = digesting_sim();
+    let net = FlowNet::new(&sim.handle());
+    let a = net.add_link("a", 100e6, Sharing::Fair);
+    let b = net.add_link("b", 100e6, Sharing::Fair);
+    let s = net.add_link("s", 100e6, Sharing::Fair);
+    spawn_flow(&sim, &log, &net, "da", Duration::ZERO, vec![a], 100_000_000);
+    spawn_flow(&sim, &log, &net, "db", Duration::ZERO, vec![b], 100_000_000);
+    spawn_flow(&sim, &log, &net, "s1", Duration::ZERO, vec![s], 50_000_000);
+    spawn_flow(&sim, &log, &net, "s2", Duration::ZERO, vec![s], 50_000_000);
+    let l2 = Arc::clone(&log);
+    sim.spawn("sleeper", move |ctx| {
+        ctx.sleep(Duration::from_secs(1));
+        mark(&l2, "sleeper", ctx);
+    });
+    let (got, digest) = finish(sim, log);
+    assert_eq!(
+        got,
+        owned(&[
+            ("da", 1_000_000_000),
+            ("sleeper", 1_000_000_000),
+            ("db", 1_000_000_000),
+            ("s1", 1_000_000_000),
+            ("s2", 1_000_000_000),
+        ])
+    );
+    assert_eq!(digest, (10463520194204646780, 10));
+}
+
+/// Flows of different sizes over overlapping paths, all started at the
+/// same instant, plus one that joins later.
+#[test]
+fn flows_started_at_one_instant() {
+    let (sim, log) = digesting_sim();
+    let net = FlowNet::new(&sim.handle());
+    let tx = net.add_link("tx", 200e6, Sharing::Fair);
+    let rx = net.add_link("rx", 150e6, Sharing::Fair);
+    let disk = net.add_link("disk", 80e6, Sharing::Degraded { alpha: 0.1 });
+    spawn_flow(
+        &sim,
+        &log,
+        &net,
+        "f0",
+        Duration::ZERO,
+        vec![tx, rx],
+        60_000_000,
+    );
+    spawn_flow(&sim, &log, &net, "f1", Duration::ZERO, vec![tx], 90_000_000);
+    spawn_flow(
+        &sim,
+        &log,
+        &net,
+        "f2",
+        Duration::ZERO,
+        vec![rx, disk],
+        40_000_000,
+    );
+    spawn_flow(
+        &sim,
+        &log,
+        &net,
+        "f3",
+        Duration::ZERO,
+        vec![disk],
+        25_000_000,
+    );
+    spawn_flow(
+        &sim,
+        &log,
+        &net,
+        "f4",
+        Duration::from_millis(150),
+        vec![tx, disk],
+        30_000_000,
+    );
+    let (got, digest) = finish(sim, log);
+    assert_eq!(
+        got,
+        owned(&[
+            ("f0", 881_250_000),
+            ("f3", 1_029_545_455),
+            ("f1", 1_143_750_000),
+            ("f4", 1_317_045_455),
+            ("f2", 1_373_863_637),
+        ])
+    );
+    assert_eq!(digest, (3937428418230897556, 10));
 }
