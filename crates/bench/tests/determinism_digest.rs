@@ -8,9 +8,10 @@
 //! single event time, reorders a same-nanosecond tie-break, or changes an
 //! emitted string flips the hash.
 //!
-//! FlowNet now always retimes every flow on every recompute — the oracle
-//! behaviour these goldens were recorded from — so there is no second
-//! mode to cross-check. To re-record after an *intended* behavior change,
+//! FlowNet now arms one timer per net (the earliest completion) instead
+//! of re-timing every flow on every recompute, the behaviour these
+//! goldens were recorded from; they hold unchanged. To re-record after an
+//! *intended* behavior change,
 //! copy the values printed by the failing assertions, and say in the
 //! change which modelled behaviour moved.
 

@@ -10,6 +10,17 @@
 //!
 //! [`FlowNet`] complements [`crate::Link`]: use `Link` for a standalone
 //! resource (a disk, a memory bus), `FlowNet` when flows share *paths*.
+//!
+//! # One timer per net
+//!
+//! Every recompute evaluates every flow's rate and completion instant, but
+//! the net keeps a kernel wake only for the owner of the *earliest*
+//! completion (ties to the lowest flow id). Nothing else can change a rate
+//! before that wake fires or another recompute replaces it, so the other
+//! owners need no timer. The one exception is an owner that already holds
+//! a wake the net did not push (a kill, a spurious wake): it is re-timed to
+//! its completion on every recompute, exactly as when every flow was
+//! re-timed, so same-instant kills keep their modelled outcome.
 
 use crate::kernel::{Kernel, ProcId, SimHandle};
 use crate::link::Sharing;
@@ -38,6 +49,8 @@ struct NetFlow {
     remaining: f64,
     bytes: u64,
     rate: f64,
+    /// Completion instant at the current rate, as of the last recompute.
+    due: SimTime,
 }
 
 struct NetInner {
@@ -54,6 +67,9 @@ struct NetInner {
     flows: BTreeMap<u64, NetFlow>,
     next_flow: u64,
     last_update: SimTime,
+    /// The earliest completion's wake as the net last pushed it:
+    /// `(owner, seq)`, cancelled at the next recompute.
+    armed: Option<(ProcId, u64)>,
 }
 
 impl NetInner {
@@ -78,14 +94,21 @@ impl NetInner {
         };
     }
 
-    /// Recompute every flow's rate from the cached link shares and retime
-    /// every owner's completion wake, in flow-id order (so same-nanosecond
-    /// completions keep a stable tie-break).
+    /// Recompute every flow's rate and completion instant from the cached
+    /// link shares, then replace the net's wake with one for the earliest
+    /// completion (ties to the lowest flow id). An owner holding a wake the
+    /// net did not push is re-timed to its completion too. Pushes go in
+    /// flow-id order, so same-nanosecond completions keep a stable
+    /// tie-break.
     fn recompute_and_retime(&mut self, kernel: &Kernel, now: SimTime) {
         let shares = &self.shares;
         kernel.with_wake_batch(|batch| {
             batch.counts().flow_recomputes += 1;
-            for f in self.flows.values_mut() {
+            if let Some((pid, seq)) = self.armed.take() {
+                batch.cancel_wake(pid, seq);
+            }
+            let mut earliest: Option<(SimTime, u64)> = None;
+            for (&id, f) in self.flows.iter_mut() {
                 let rate = f
                     .links
                     .iter()
@@ -94,11 +117,21 @@ impl NetInner {
                 debug_assert!(rate.is_finite() && rate > 0.0);
                 let secs = (f.remaining / rate).min(1e18); // clamp: "effectively never"
                 f.rate = rate;
-                batch.schedule_wake(
-                    ProcId(f.pid),
-                    now.saturating_add(Duration::from_secs_f64(secs)),
-                );
+                f.due = now.saturating_add(Duration::from_secs_f64(secs));
+                if earliest.is_none_or(|(due, _)| f.due < due) {
+                    earliest = Some((f.due, id));
+                }
                 batch.counts().flow_retimes += 1;
+            }
+            for (&id, f) in &self.flows {
+                let pid = ProcId(f.pid);
+                let first = earliest.is_some_and(|(_, e)| e == id);
+                if first || batch.pending_seq(pid).is_some() {
+                    let seq = batch.push_wake(pid, f.due);
+                    if first {
+                        self.armed = seq.map(|s| (pid, s));
+                    }
+                }
             }
         });
     }
@@ -133,6 +166,7 @@ impl FlowNet {
                 flows: BTreeMap::new(),
                 next_flow: 0,
                 last_update: handle.now(),
+                armed: None,
             })),
         }
     }
@@ -179,6 +213,7 @@ impl FlowNet {
                     remaining: bytes as f64,
                     bytes,
                     rate: 0.0,
+                    due: now,
                 },
             );
             inner.recompute_and_retime(&self.kernel, now);

@@ -5,9 +5,9 @@
 //! the kernel — so the kernel profiles itself. Two tiers:
 //!
 //! * **Counters** (events dispatched, timer-heap pushes, stale timers
-//!   skipped, process spawns, FlowNet retime traffic) are always
-//!   maintained: plain integers in the scheduler state, bumped under the
-//!   lock the counted operation already holds.
+//!   skipped, process spawns, FlowNet recomputes and per-flow
+//!   evaluations) are always maintained: plain integers in the scheduler
+//!   state, bumped under the lock the counted operation already holds.
 //! * **Wall-clock timing** (ns per kernel category, per-process dispatch
 //!   counts and run time, run time per proc-name prefix) reads the host
 //!   monotonic clock twice per event and is off
@@ -38,7 +38,9 @@ pub(crate) struct Counts {
     pub(crate) spawns: u64,
     /// FlowNet rate recomputations (flow add/remove/wake).
     pub(crate) flow_recomputes: u64,
-    /// Per-flow completion-wake reschedules issued to the kernel.
+    /// Per-flow rate and completion evaluations in FlowNet recomputes
+    /// (not timer pushes: a recompute pushes at most one wake per net
+    /// beyond re-timing owners that hold a foreign wake).
     pub(crate) flow_retimes: u64,
 }
 
@@ -185,7 +187,11 @@ pub struct HotStats {
     pub procs_spawned: u64,
     /// FlowNet rate recomputations.
     pub flow_recomputes: u64,
-    /// Per-flow completion-wake reschedules issued.
+    /// Per-flow rate and completion evaluations, summed over FlowNet
+    /// recomputes. Each flow in a net is evaluated on every recompute,
+    /// but only the net's earliest completion gets a timer push (plus any
+    /// owner holding a wake the net did not push), so this is not a count
+    /// of timer pushes; those are in [`timer_pushes`](Self::timer_pushes).
     pub flow_retimes: u64,
     /// Wall ns the scheduler spent selecting timers (prof only).
     pub sched_ns: u64,
@@ -233,7 +239,7 @@ impl HotStats {
              heap peak           {:>12}\n\
              procs spawned       {:>12}\n\
              flow recomputes     {:>12}\n\
-             flow retimes        {:>12}\n",
+             flow evaluations    {:>12}\n",
             self.events_dispatched,
             self.timer_pushes,
             self.stale_timers_skipped,

@@ -6,7 +6,9 @@
 //! global timer heap identified by a sequence number stored in the process
 //! slot (`pending_seq`). Waking, retiming and killing all go through the
 //! same mechanism — push a fresh timer and overwrite `pending_seq` — so
-//! stale heap entries are recognised and skipped when popped. This gives a
+//! stale heap entries are recognised and skipped when popped. Cancelling a
+//! wake just clears `pending_seq`, which turns its heap entry stale too.
+//! This gives a
 //! single, easily-audited source of truth for "who runs next" and makes the
 //! simulation deterministic: ties at equal virtual time are broken by
 //! insertion sequence.
@@ -100,16 +102,15 @@ pub(crate) struct KState {
 
 impl KState {
     /// Core of [`Kernel::schedule_wake`], callable with the state lock
-    /// already held (the batch-retime path).
-    fn schedule_wake_locked(&mut self, now: SimTime, pid: ProcId, time: SimTime) -> bool {
+    /// already held (the batch-retime path). Returns the wake's sequence
+    /// number, or `None` if `pid` is dead.
+    fn schedule_wake_locked(&mut self, now: SimTime, pid: ProcId, time: SimTime) -> Option<u64> {
         let time = time.max(now);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let Some(slot) = self.procs.get_mut(pid.0 as usize) else {
-            return false;
-        };
+        let slot = self.procs.get_mut(pid.0 as usize)?;
         if slot.dead {
-            return false;
+            return None;
         }
         slot.pending_seq = Some(seq);
         self.heap.push(Reverse(Timer {
@@ -119,7 +120,7 @@ impl KState {
         }));
         self.counts.timer_pushes += 1;
         self.counts.heap_peak = self.counts.heap_peak.max(self.heap.len() as u64);
-        true
+        Some(seq)
     }
 
     /// Pop the next valid timer at or before `limit_ns`, skipping stale
@@ -191,12 +192,15 @@ impl Kernel {
     /// pending one). No-op on dead processes. Returns whether a wake was
     /// actually scheduled.
     pub(crate) fn schedule_wake(&self, pid: ProcId, time: SimTime) -> bool {
-        self.st.lock().schedule_wake_locked(self.now(), pid, time)
+        self.st
+            .lock()
+            .schedule_wake_locked(self.now(), pid, time)
+            .is_some()
     }
 
     /// Run `f` against a [`WakeBatch`]: the scheduler lock is taken once
-    /// for any number of wake pushes. Used by FlowNet's retime loop
-    /// instead of per-flow `schedule_wake` calls.
+    /// for any number of wake queries, pushes and cancels. Used by
+    /// FlowNet's recompute.
     pub(crate) fn with_wake_batch<R>(&self, f: impl FnOnce(&mut WakeBatch) -> R) -> R {
         let mut st = self.st.lock();
         f(&mut WakeBatch {
@@ -341,9 +345,27 @@ pub(crate) struct WakeBatch<'a> {
 }
 
 impl WakeBatch<'_> {
-    /// See [`Kernel::schedule_wake`].
-    pub(crate) fn schedule_wake(&mut self, pid: ProcId, time: SimTime) -> bool {
+    /// Push a canonical wake for `pid` at `time`, as
+    /// [`Kernel::schedule_wake`] does, and return its sequence number
+    /// (`None` if `pid` is dead).
+    pub(crate) fn push_wake(&mut self, pid: ProcId, time: SimTime) -> Option<u64> {
         self.st.schedule_wake_locked(self.now, pid, time)
+    }
+
+    /// Sequence number of `pid`'s pending wake, if it has one.
+    pub(crate) fn pending_seq(&self, pid: ProcId) -> Option<u64> {
+        self.st.procs.get(pid.0 as usize)?.pending_seq
+    }
+
+    /// Clear `pid`'s pending wake if it is still the one numbered `seq`.
+    /// A wake pushed since (a kill, say) stays in place. The heap entry
+    /// is left behind and skipped as stale when popped.
+    pub(crate) fn cancel_wake(&mut self, pid: ProcId, seq: u64) {
+        if let Some(slot) = self.st.procs.get_mut(pid.0 as usize) {
+            if slot.pending_seq == Some(seq) {
+                slot.pending_seq = None;
+            }
+        }
     }
 
     /// The kernel's event counters.
@@ -763,5 +785,54 @@ impl Drop for Simulation {
             self.kernel.finish_proc(idx as u32);
             idx += 1;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    /// A simulation with one proc asleep until t = 1 s, run to t = 1 ms.
+    fn sleeper() -> (Simulation, ProcId) {
+        let mut sim = Simulation::new(0);
+        let pid = sim
+            .spawn("sleeper", |ctx| ctx.sleep(Duration::from_secs(1)))
+            .pid();
+        sim.run_until(SimTime::from_nanos(1_000_000)).unwrap();
+        (sim, pid)
+    }
+
+    #[test]
+    fn cancel_leaves_a_later_kill_wake_in_place() {
+        let (mut sim, pid) = sleeper();
+        let armed = sim
+            .kernel
+            .with_wake_batch(|b| b.push_wake(pid, SimTime::from_nanos(5_000_000)))
+            .unwrap();
+        sim.handle().kill(pid);
+        let pending = sim.kernel.with_wake_batch(|b| {
+            b.cancel_wake(pid, armed);
+            b.pending_seq(pid)
+        });
+        assert!(pending.is_some_and(|s| s > armed), "the kill wake survives");
+        sim.run_until(SimTime::from_nanos(1_000_000)).unwrap();
+        assert!(sim.handle().is_dead(pid), "unwound at the kill instant");
+    }
+
+    #[test]
+    fn cancel_of_the_pending_wake_leaves_no_timer() {
+        let (mut sim, pid) = sleeper();
+        let pending = sim.kernel.with_wake_batch(|b| {
+            let seq = b.push_wake(pid, SimTime::from_nanos(5_000_000));
+            assert_eq!(b.pending_seq(pid), seq);
+            b.cancel_wake(pid, seq.unwrap());
+            b.pending_seq(pid)
+        });
+        assert_eq!(pending, None);
+        let before = sim.hot_stats();
+        assert!(matches!(sim.run(), Err(SimError::Deadlock { .. })));
+        let d = sim.hot_stats().since(&before);
+        assert_eq!((d.events_dispatched, d.stale_timers_skipped), (0, 2));
     }
 }

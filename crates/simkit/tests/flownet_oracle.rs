@@ -162,7 +162,7 @@ const GOLDEN_RANDOM_SCHEDULES: (u64, u64) = (15076899551836887341, 1011);
 #[test]
 fn random_schedules_match_golden_digest() {
     use proptest::strategy::Strategy;
-    let mut rng = proptest::TestRng::from_seed(0xF10E_7E7);
+    let mut rng = proptest::TestRng::from_seed(0x0F10_E7E7);
     let caps = proptest::collection::vec(1u64..1000, 1..5);
     let flows = proptest::collection::vec(flow_strategy(), 1..10);
     let mut acc = TraceDigest {

@@ -456,3 +456,36 @@ fn proc_stack_holds_400_kib_of_frames() {
     sim.run().unwrap();
     assert!(reached.load(Ordering::SeqCst) >= 400 * 1024);
 }
+
+/// N flows on disjoint links: every recompute evaluates every flow but
+/// pushes one timer, for the earliest completion, and each flow still
+/// ends at its analytic instant.
+#[test]
+fn disjoint_flows_cost_one_timer_push_per_recompute() {
+    use simkit::{FlowNet, Sharing};
+    const N: u64 = 16;
+    let mut sim = Simulation::new(0);
+    let net = FlowNet::new(&sim.handle());
+    let done = Arc::new(parking_lot::Mutex::new(Vec::new()));
+    // 2^27 B/s and multiples of 2^24 B: every instant is an exact
+    // multiple of 1/8 s, so completions are exact in nanoseconds.
+    for i in 0..N {
+        let link = net.add_link(&format!("l{i}"), (1u64 << 27) as f64, Sharing::Fair);
+        let (net, done) = (net.clone(), done.clone());
+        sim.spawn(&format!("f{i}"), move |ctx| {
+            net.transfer(ctx, &[link], (i + 1) << 24);
+            done.lock().push((i, ctx.now().as_nanos()));
+        });
+    }
+    let before = sim.hot_stats();
+    sim.run().unwrap();
+    let d = sim.hot_stats().since(&before);
+    assert_eq!(d.flow_recomputes, 2 * N, "one per start, one per finish");
+    // The last finish leaves the net empty, so it arms nothing.
+    assert_eq!(d.timer_pushes, d.flow_recomputes - 1);
+    // Rate and completion are still evaluated for every flow present:
+    // N starts see 1..=N flows, N finishes see N-1..=0.
+    assert_eq!(d.flow_retimes, N * N);
+    let want: Vec<(u64, u64)> = (0..N).map(|i| (i, (i + 1) * 125_000_000)).collect();
+    assert_eq!(*done.lock(), want);
+}
