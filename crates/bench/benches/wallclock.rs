@@ -9,10 +9,14 @@
 //!
 //! Gates:
 //!
-//! 1. **Exact event counts** — every scenario dispatches exactly the
-//!    events the committed `wallclock_baseline.json` records (64,470 /
+//! 1. **Exact counts** — every scenario dispatches exactly the events,
+//!    and makes exactly the timer pushes and stale pops, that the
+//!    committed `wallclock_baseline.json` records (events 64,470 /
 //!    74,634 / 2,000,108). Counts are hardware-independent: any change
-//!    means the event stream itself changed.
+//!    means the event stream or the timer traffic behind it changed. The
+//!    fleet soak must also make fewer than [`MAX_PUSHES_PER_EVENT`] timer
+//!    pushes per event, and pop fewer than [`MAX_STALE_FRAC`] of its
+//!    pushes as stale: FlowNet arms one timer per net, not one per flow.
 //! 2. **No OS threads** — simulated processes are coroutines on the
 //!    driving thread. The process's `Threads:` count (`/proc/self/status`)
 //!    must not grow: it is sampled before each scenario, when the
@@ -49,10 +53,17 @@ use telemetry::Json;
 /// Gate 4: ceiling on the bench process's peak RSS, in kB.
 const PEAK_RSS_CEILING_KB: u64 = 160_000;
 
+/// Gate 1: fleet soak ceilings on timer pushes per event and on the share
+/// of pushes popped as stale.
+const MAX_PUSHES_PER_EVENT: f64 = 1.5;
+const MAX_STALE_FRAC: f64 = 0.10;
+
 struct Scenario {
     name: &'static str,
     wall_secs: f64,
     events: u64,
+    timer_pushes: u64,
+    stale_pops: u64,
     /// `Threads:` before, at simulation creation, and after.
     threads: [u64; 3],
     /// Voluntary context switches of the main thread over the scenario.
@@ -68,6 +79,8 @@ impl Scenario {
         Json::obj()
             .set("wall_secs", self.wall_secs)
             .set("events", self.events)
+            .set("timer_pushes", self.timer_pushes)
+            .set("stale_pops", self.stale_pops)
             .set("events_per_sec", self.events_per_sec())
             .set("threads_before", self.threads[0])
             .set("threads_in_sim", self.threads[1])
@@ -108,14 +121,19 @@ fn measure(name: &'static str, run: impl FnOnce(&mut Observed)) -> Scenario {
         name,
         wall_secs,
         events: stats.events_dispatched,
+        timer_pushes: stats.timer_pushes,
+        stale_pops: stats.stale_timers_skipped,
         threads: [threads_before, seen.threads, proc_status("Threads:")],
         vol_switches,
     };
     println!(
-        "{:<10} {:>8.2}s {:>10} events {:>9.0} ev/s  threads {:?}  vol. switches {}",
+        "{:<10} {:>8.2}s {:>10} events {:>10} pushes {:>9} stale {:>9.0} ev/s  \
+         threads {:?}  vol. switches {}",
         s.name,
         s.wall_secs,
         s.events,
+        s.timer_pushes,
+        s.stale_pops,
         s.events_per_sec(),
         s.threads,
         s.vol_switches
@@ -307,15 +325,37 @@ fn main() {
     // Gates 1 and 5: against the committed baseline.
     let base = load_baseline().expect("crates/bench/wallclock_baseline.json must be committed");
     for s in scenarios {
-        let want = num_after(&base, &format!("\"{}\"", s.name), "events")
-            .expect("baseline must record per-scenario events");
-        assert_eq!(
-            s.events, want as u64,
-            "{}: event count moved from the committed baseline",
-            s.name
-        );
+        for (key, got) in [
+            ("events", s.events),
+            ("timer_pushes", s.timer_pushes),
+            ("stale_pops", s.stale_pops),
+        ] {
+            let want = num_after(&base, &format!("\"{}\"", s.name), key)
+                .unwrap_or_else(|| panic!("baseline must record per-scenario {key}"));
+            assert_eq!(
+                got, want as u64,
+                "{}: {key} moved from the committed baseline",
+                s.name
+            );
+        }
     }
-    println!("event-count gate ok: fig4 / livemig / fleet match the baseline exactly");
+    let pushes_per_event = fleet.timer_pushes as f64 / fleet.events.max(1) as f64;
+    let stale_frac = fleet.stale_pops as f64 / fleet.timer_pushes.max(1) as f64;
+    assert!(
+        pushes_per_event < MAX_PUSHES_PER_EVENT,
+        "fleet: {pushes_per_event:.3} timer pushes per event (ceiling {MAX_PUSHES_PER_EVENT})"
+    );
+    assert!(
+        stale_frac < MAX_STALE_FRAC,
+        "fleet: {:.1}% of timer pushes popped stale (ceiling {:.0}%)",
+        100.0 * stale_frac,
+        100.0 * MAX_STALE_FRAC
+    );
+    println!(
+        "count gates ok: events, timer pushes and stale pops match the baseline exactly; \
+         fleet {pushes_per_event:.3} pushes/event, {:.1}% stale",
+        100.0 * stale_frac
+    );
     if let Some(x) = num_after(&base, "", "fleet_speedup_vs_thread_kernel") {
         println!("recorded fleet speedup over the thread-per-process kernel: {x:.2}x");
     }
