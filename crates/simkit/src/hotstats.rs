@@ -39,8 +39,7 @@ pub(crate) struct Counts {
     /// FlowNet rate recomputations (flow add/remove/wake).
     pub(crate) flow_recomputes: u64,
     /// Per-flow rate and completion evaluations in FlowNet recomputes
-    /// (not timer pushes: a recompute pushes at most one wake per net
-    /// beyond re-timing owners that hold a foreign wake).
+    /// (not timer pushes).
     pub(crate) flow_retimes: u64,
 }
 

@@ -7,11 +7,10 @@
 //! slot (`pending_seq`). Waking, retiming and killing all go through the
 //! same mechanism — push a fresh timer and overwrite `pending_seq` — so
 //! stale heap entries are recognised and skipped when popped. Cancelling a
-//! wake just clears `pending_seq`, which turns its heap entry stale too.
-//! This gives a
-//! single, easily-audited source of truth for "who runs next" and makes the
-//! simulation deterministic: ties at equal virtual time are broken by
-//! insertion sequence.
+//! wake clears `pending_seq`, which turns its heap entry stale too. This
+//! gives a single, easily-audited source of truth for "who runs next" and
+//! makes the simulation deterministic: ties at equal virtual time are
+//! broken by insertion sequence.
 //!
 //! # Coroutine dispatch
 //!
