@@ -188,10 +188,10 @@ fn random_schedules_match_golden_digest() {
 
 /// What a fixed case observed: (label, ns) in the order things happened,
 /// and the trace digest.
-type Log = Arc<Mutex<Vec<(String, u64)>>>;
+type Log = Arc<Mutex<Vec<(&'static str, u64)>>>;
 
-fn mark(log: &Log, label: &str, ctx: &simkit::Ctx) {
-    log.lock().push((label.to_string(), ctx.now().as_nanos()));
+fn mark(log: &Log, label: &'static str, ctx: &simkit::Ctx) {
+    log.lock().push((label, ctx.now().as_nanos()));
 }
 
 /// Spawn `name`, which sleeps `start`, moves `bytes` over `path`, and
@@ -200,27 +200,27 @@ fn spawn_flow(
     sim: &Simulation,
     log: &Log,
     net: &FlowNet,
-    name: &str,
+    name: &'static str,
     start: Duration,
     path: Vec<simkit::LinkId>,
     bytes: u64,
 ) -> simkit::ProcHandle {
-    let (log, net, label) = (Arc::clone(log), net.clone(), name.to_string());
+    let (log, net) = (Arc::clone(log), net.clone());
     sim.spawn(name, move |ctx| {
         if !start.is_zero() {
             ctx.sleep(start);
         }
         net.transfer(ctx, &path, bytes);
-        mark(&log, &label, ctx);
+        mark(&log, name, ctx);
     })
 }
 
 /// Spawn a watcher that logs the instant `target` dies, however it dies.
-fn watch_death(sim: &Simulation, log: &Log, target: &simkit::ProcHandle, label: &str) {
-    let (log, target, label) = (Arc::clone(log), target.clone(), label.to_string());
+fn watch_death(sim: &Simulation, log: &Log, target: &simkit::ProcHandle, label: &'static str) {
+    let (log, target) = (Arc::clone(log), target.clone());
     sim.spawn(&format!("watch-{label}"), move |ctx| {
         ctx.join(&target);
-        mark(&log, &label, ctx);
+        mark(&log, label, ctx);
     });
 }
 
@@ -230,15 +230,11 @@ fn digesting_sim() -> (Simulation, Log) {
     (sim, Arc::new(Mutex::new(Vec::new())))
 }
 
-fn finish(mut sim: Simulation, log: Log) -> (Vec<(String, u64)>, (u64, u64)) {
+fn finish(mut sim: Simulation, log: Log) -> (Vec<(&'static str, u64)>, (u64, u64)) {
     sim.run().unwrap();
     let d = sim.handle().tracer().digest();
     let log = log.lock().clone();
     (log, (d.hash, d.events))
-}
-
-fn owned(v: &[(&str, u64)]) -> Vec<(String, u64)> {
-    v.iter().map(|(s, t)| (s.to_string(), *t)).collect()
 }
 
 /// Two transfer owners killed at the same instant, where the second is
@@ -264,11 +260,11 @@ fn two_owners_killed_at_one_instant() {
     let (got, digest) = finish(sim, log);
     assert_eq!(
         got,
-        owned(&[
+        [
             ("v1-dead", 300_000_000),
             ("bg", 2_100_000_000),
             ("v2-dead", 4_100_000_000),
-        ])
+        ]
     );
     assert_eq!(digest, (16949712861421588738, 14));
 }
@@ -295,13 +291,13 @@ fn same_nanosecond_completions() {
     let (got, digest) = finish(sim, log);
     assert_eq!(
         got,
-        owned(&[
+        [
             ("da", 1_000_000_000),
             ("sleeper", 1_000_000_000),
             ("db", 1_000_000_000),
             ("s1", 1_000_000_000),
             ("s2", 1_000_000_000),
-        ])
+        ]
     );
     assert_eq!(digest, (10463520194204646780, 10));
 }
@@ -355,13 +351,13 @@ fn flows_started_at_one_instant() {
     let (got, digest) = finish(sim, log);
     assert_eq!(
         got,
-        owned(&[
+        [
             ("f0", 881_250_000),
             ("f3", 1_029_545_455),
             ("f1", 1_143_750_000),
             ("f4", 1_317_045_455),
             ("f2", 1_373_863_637),
-        ])
+        ]
     );
     assert_eq!(digest, (3937428418230897556, 10));
 }
